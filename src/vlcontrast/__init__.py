@@ -26,7 +26,6 @@ from .durations import (  # noqa: E402
     build_histogram,
     collect_cells,
     filter_outliers,
-    summary,
 )
 from .features import (  # noqa: E402
     AREA_SIGNIFICANCE_THRESHOLD,
@@ -109,5 +108,4 @@ __all__ = [
     "parse_textgrid",
     "run_analysis",
     "sample_gamma",
-    "summary",
 ]

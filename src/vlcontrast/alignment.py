@@ -226,6 +226,13 @@ def _parse_number(value: str, lineno: int, what: str) -> float:
     return number
 
 
+def _parse_count(value: str, lineno: int, what: str) -> int:
+    number = _parse_number(value, lineno, what)
+    if not number.is_integer() or number < 0:
+        raise ParseError(f"non-integer or negative {what}: {value!r}", lineno)
+    return int(number)
+
+
 def _expect_kv(scanner: _TextGridScanner, key: str) -> tuple[int, str]:
     lineno, line = scanner.expect(f'"{key} = ..."')
     m = _KV_RE.match(line)
@@ -280,8 +287,8 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         raise ParseError(f"expected tiers? flag, got {tiers_flag!r}", lineno)
     if "<exists>" not in tiers_flag:
         return []
-    _, size, _ = _expect_number(scanner, "size")
-    n_tiers = int(size)
+    lineno, size = _expect_kv(scanner, "size")
+    n_tiers = _parse_count(size, lineno, "tier count")
 
     tiers = []
     # optional "item []:" header
@@ -305,7 +312,7 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         m = _SIZE_RE.match(line)
         if not m:
             raise ParseError(f"expected intervals/points size, got {line!r}", lineno)
-        count = int(_parse_number(m.group(2), lineno, "size"))
+        count = _parse_count(m.group(2), lineno, "size")
 
         if tier_class == "TextTier":
             logger.warning("skipping point tier %r (%d points)", tier_name, count)

@@ -1,4 +1,4 @@
-"""Per-cell duration statistics: outlier filtering, summaries, histograms.
+"""Per-cell duration statistics: outlier filtering and histograms.
 
 A "cell" is the set of durations of one (vowel, length) pair within one
 corpus.  All durations are milliseconds, strictly positive.
@@ -15,7 +15,6 @@ __all__ = [
     "DurationSampleSet",
     "Histogram",
     "filter_outliers",
-    "summary",
     "build_histogram",
     "collect_cells",
 ]
@@ -58,11 +57,6 @@ class DurationSampleSet:
                                  self.corpus_id, tuple(samples))
 
 
-def summary(cell: DurationSampleSet) -> tuple[int, float | None, float | None]:
-    """(n, mean_ms, sd_ms); mean/sd are None when undefined."""
-    return cell.n, cell.mean_ms, cell.sd_ms
-
-
 def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
     """Single-pass 3-sigma rule: keep x with mean-3sd < x < mean+3sd.
 
@@ -84,7 +78,6 @@ class Histogram:
     """Fixed-width histogram from 0 ms; densities sum*width to 1."""
 
     bin_width_ms: float
-    bin_edges: tuple[float, ...]  # len = nbins + 1, starts at 0
     counts: tuple[int, ...]
     densities: tuple[float, ...]  # count / (n * width), unit 1/ms
 
@@ -107,14 +100,13 @@ def build_histogram(cell: DurationSampleSet, bin_width_ms: float = 10.0) -> Hist
     if bin_width_ms <= 0.0:
         raise ValueError("bin width must be positive")
     if cell.n == 0:
-        return Histogram(bin_width_ms, (), (), ())
+        return Histogram(bin_width_ms, (), ())
     arr = np.asarray(cell.samples)
     nbins = int(math.floor(arr.max() / bin_width_ms)) + 1
     idx = np.floor(arr / bin_width_ms).astype(int)
     counts = np.bincount(idx, minlength=nbins)
     densities = counts / (cell.n * bin_width_ms)
-    edges = tuple(i * bin_width_ms for i in range(nbins + 1))
-    return Histogram(bin_width_ms, edges, tuple(int(c) for c in counts),
+    return Histogram(bin_width_ms, tuple(int(c) for c in counts),
                      tuple(float(d) for d in densities))
 
 

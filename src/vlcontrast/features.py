@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .durations import DurationSampleSet, filter_outliers
+from .durations import DurationSampleSet
 from .gamma import (
     DegenerateDataError,
     GammaFit,
@@ -105,7 +105,8 @@ def compute_r2(fit_short: GammaFit, fit_long: GammaFit) -> float | None:
     return num / den
 
 
-def _upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> float:
+def upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> float:
+    """Right end (ms) of the area integral and the plot grid: max mode + 40 SD."""
     limit = 0.0
     for fit in (fit_short, fit_long):
         mode = (fit.shape - 1.0) * fit.scale if fit.shape >= 1.0 else 0.0
@@ -116,7 +117,7 @@ def _upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> float:
 def compute_area(fit_short: GammaFit, fit_long: GammaFit,
                  tol: float = _AREA_TOL) -> float:
     """Positive-part integral of (d_L - d_S); dimensionless, in [0, 1)."""
-    upper = _upper_limit(fit_short, fit_long)
+    upper = upper_limit(fit_short, fit_long)
     lower = 0.0
     if fit_short.shape < 1.0 or fit_long.shape < 1.0:
         # density unbounded at 0; skip a negligible sliver of the origin
@@ -138,22 +139,18 @@ def compute_delta(fit_short: GammaFit, fit_long: GammaFit) -> float:
 def contrast_report(
     set_short: DurationSampleSet,
     set_long: DurationSampleSet,
-    apply_outlier_filter: bool = True,
 ) -> ContrastReport:
-    """Full per-vowel pipeline: filter, fit both cells, derive features.
+    """Fit both cells of one vowel and derive its features.
 
-    Degenerate cells produce a report carrying an error marker instead of
-    features; callers decide whether that aborts anything (the CLI does
-    not).
+    The cells are used as given; apply `filter_outliers` to each first
+    for the 3-sigma rule.  Degenerate cells produce a report carrying an
+    error marker instead of features; callers decide whether that aborts
+    anything (the CLI does not).
     """
     if set_short.vowel_class != set_long.vowel_class:
         raise ValueError("short/long cells must describe the same vowel")
     if set_short.corpus_id != set_long.corpus_id:
         raise ValueError("short/long cells must come from the same corpus")
-
-    if apply_outlier_filter:
-        set_short = filter_outliers(set_short)
-        set_long = filter_outliers(set_long)
 
     flags: set[str] = set()
     base = dict(
@@ -209,43 +206,31 @@ def contrast_report(
     )
 
 
-def _cell_durations(tokens, corpus_id, vowel_class, length_class,
-                    apply_outlier_filter):
-    durations = tuple(
-        t.duration_ms for t in tokens
-        if t.vowel_class == vowel_class and t.length_class == length_class
-    )
-    cell = DurationSampleSet(vowel_class, length_class, corpus_id, durations)
-    if apply_outlier_filter:
-        cell = filter_outliers(cell)
-    return cell.samples
-
-
 def compare_corpora(
     vowel_class: str,
-    tokens_a,
-    tokens_b,
+    cells_a,
+    cells_b,
     length_class: str = "pooled",
-    apply_outlier_filter: bool = True,
 ) -> TestResult:
     """KS two-sample test between the duration distributions of one vowel
     in two corpora.
 
-    `length_class` is "short", "long", or "pooled"; pooling filters each
-    (vowel, length) cell separately first, since the outlier rule is a
-    per-cell rule.
+    `cells_a` and `cells_b` map (vowel, length) to each corpus's
+    DurationSampleSet, already filtered if the outlier rule applies.
+    `length_class` is "short", "long", or "pooled" (both cells together).
     """
     if length_class not in ("short", "long", "pooled"):
         raise ValueError(f"length_class must be short/long/pooled, got {length_class!r}")
     lengths = ("short", "long") if length_class == "pooled" else (length_class,)
 
     sides = []
-    for name, tokens in (("A", tokens_a), ("B", tokens_b)):
-        corpus_id = next((t.corpus_id for t in tokens), name)
+    for name, cells in (("A", cells_a), ("B", cells_b)):
+        corpus_id = next((c.corpus_id for c in cells.values()), name)
         durations: list[float] = []
         for length in lengths:
-            durations.extend(_cell_durations(tokens, corpus_id, vowel_class,
-                                             length, apply_outlier_filter))
+            cell = cells.get((vowel_class, length))
+            if cell is not None:
+                durations.extend(cell.samples)
         if not durations:
             raise ValueError(
                 f"corpus {corpus_id!r} has no tokens for cell "

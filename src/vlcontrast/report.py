@@ -12,6 +12,7 @@ float precision in CSV/JSON, and atomic write-then-rename file emission.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import math
@@ -31,7 +32,8 @@ from .alignment import (
     speaker_rule,
 )
 from .durations import DurationSampleSet, build_histogram, collect_cells, filter_outliers
-from .features import VOWEL_ORDER, ContrastReport, compare_corpora, contrast_report
+from .features import (VOWEL_ORDER, ContrastReport, compare_corpora,
+                       contrast_report, upper_limit)
 from .gamma import GammaFit, gamma_pdf
 from .stattests import TestResult, dip_test
 
@@ -74,6 +76,12 @@ class CorpusSource:
     format: str  # "textgrid" | "ctm"
 
 
+# Keys AnalysisConfig.from_json accepts, at the top level and per corpus.
+_CONFIG_KEYS = {"corpora", "output_dir", "phone_map", "bin_width_ms",
+                "outlier_filtering", "output_formats", "comparisons", "speaker_from"}
+_CORPUS_KEYS = {"corpus_id", "paths", "format"}
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     corpora: tuple[CorpusSource, ...]
@@ -113,6 +121,16 @@ class AnalysisConfig:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
+        for entry, known in [(obj, _CONFIG_KEYS)] + [
+                (c, _CORPUS_KEYS) for c in obj.get("corpora", ())]:
+            if not isinstance(entry, dict):
+                raise ConfigError(f"corpus entry must be an object, got {entry!r}")
+            if set(entry) - known:
+                raise ConfigError(f"unknown config key(s) {sorted(set(entry) - known)}")
+        outlier_filtering = obj.get("outlier_filtering", True)
+        if not isinstance(outlier_filtering, bool):
+            raise ConfigError(
+                f"outlier_filtering must be true or false, got {outlier_filtering!r}")
         try:
             corpora = tuple(
                 CorpusSource(
@@ -128,7 +146,7 @@ class AnalysisConfig:
                 output_dir=obj["output_dir"],
                 phone_map_path=obj.get("phone_map"),
                 bin_width_ms=float(obj.get("bin_width_ms", 10.0)),
-                outlier_filtering=bool(obj.get("outlier_filtering", True)),
+                outlier_filtering=outlier_filtering,
                 output_formats=tuple(obj.get("output_formats",
                                              ("csv", "json", "markdown"))),
                 comparisons=tuple((a, b) for a, b in obj.get("comparisons", ())),
@@ -324,10 +342,7 @@ def emit_plotdata(report: ContrastReport, histograms) -> str:
             f"plot data needs successful fits for vowel {report.vowel_class!r}"
             + (f" ({report.error})" if report.error else ""))
     hist_short, hist_long = histograms
-    upper = 0.0
-    for fit in (report.fit_short, report.fit_long):
-        mode = (fit.shape - 1.0) * fit.scale if fit.shape >= 1.0 else 0.0
-        upper = max(upper, mode + 40.0 * math.sqrt(fit.shape) * fit.scale)
+    upper = upper_limit(report.fit_short, report.fit_long)
     xs = set(float(x) for x in range(0, int(math.ceil(upper)) + 1))
     for hist in (hist_short, hist_long):
         for i in range(hist.nbins):
@@ -356,6 +371,7 @@ def write_atomic(path: Path, text: str) -> None:
 # corpus loading
 
 def _alignment_files(source: CorpusSource) -> list[Path]:
+    """Input files in first-seen order, each file once however it is listed."""
     suffixes = (".textgrid",) if source.format == "textgrid" else (".ctm",)
     files: list[Path] = []
     for raw in source.paths:
@@ -374,14 +390,25 @@ def _alignment_files(source: CorpusSource) -> list[Path]:
         else:
             raise CorpusLoadError(
                 f"corpus {source.corpus_id!r}: missing input path {p}")
-    return files
+    unique: dict[tuple[int, int], Path] = {}
+    for path in files:
+        st = path.stat()
+        unique.setdefault((st.st_dev, st.st_ino), path)
+    return list(unique.values())
+
+
+def _read_alignment_text(path: Path) -> str:
+    """UTF-16 after its byte-order mark (as Praat saves), else UTF-8."""
+    with path.open("rb") as fh:
+        utf16 = fh.read(2) in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
+    return path.read_text(encoding="utf-16" if utf16 else "utf-8-sig")
 
 
 def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap, speaker):
     tokens = []
     for path in _alignment_files(source):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = _read_alignment_text(path)
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusLoadError(f"cannot read {path}: {exc}") from exc
         try:
@@ -403,8 +430,7 @@ def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap, speaker):
     return tokens
 
 
-def _corpus_reports(tokens, corpus_id: str, outlier_filtering: bool):
-    cells = collect_cells(tokens, corpus_id)
+def _corpus_reports(cells, corpus_id: str) -> list[ContrastReport]:
     reports = []
     for vowel in VOWEL_ORDER:
         cell_s = cells.get((vowel, "short"))
@@ -415,37 +441,31 @@ def _corpus_reports(tokens, corpus_id: str, outlier_filtering: bool):
             cell_s = DurationSampleSet(vowel, "short", corpus_id, ())
         if cell_l is None:
             cell_l = DurationSampleSet(vowel, "long", corpus_id, ())
-        reports.append(contrast_report(cell_s, cell_l,
-                                       apply_outlier_filter=outlier_filtering))
-    return reports, cells
+        reports.append(contrast_report(cell_s, cell_l))
+    return reports
 
 
-def _diagnostics(cells, outlier_filtering: bool) -> dict:
+def _diagnostics(cells) -> dict:
     """Per-vowel dip statistic over the pooled (short+long) durations."""
     out = {}
     for vowel in VOWEL_ORDER:
         pooled: list[float] = []
         for length in ("short", "long"):
             cell = cells.get((vowel, length))
-            if cell is None:
-                continue
-            if outlier_filtering:
-                cell = filter_outliers(cell)
-            pooled.extend(cell.samples)
+            if cell is not None:
+                pooled.extend(cell.samples)
         if len(pooled) >= 4:
             result = dip_test(pooled)
             out[vowel] = {"dip": result.statistic, "n": result.n1}
     return out
 
 
-def _comparison_rows(vowel_order, tokens_a, tokens_b, outlier_filtering):
+def _comparison_rows(cells_a, cells_b) -> list[TestResult]:
     rows: list[TestResult] = []
-    for vowel in vowel_order:
+    for vowel in VOWEL_ORDER:
         for length in ("short", "long", "pooled"):
             try:
-                rows.append(compare_corpora(
-                    vowel, tokens_a, tokens_b, length,
-                    apply_outlier_filter=outlier_filtering))
+                rows.append(compare_corpora(vowel, cells_a, cells_b, length))
             except ValueError:
                 continue  # cell empty on one side: no comparison
     return rows
@@ -480,15 +500,18 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
 
     out_root = Path(config.output_dir)
     result = RunResult()
-    corpus_tokens: dict[str, list] = {}
+    corpus_cells: dict[str, dict] = {}
     token_counts: dict[str, dict] = {}
 
     for source in config.corpora:
         tokens = _load_corpus_tokens(source, phone_map, speaker)
-        corpus_tokens[source.corpus_id] = tokens
+        # every output of the corpus reads this one (vowel, length) -> cell map
+        cells = collect_cells(tokens, source.corpus_id)
+        if config.outlier_filtering:
+            cells = {key: filter_outliers(cell) for key, cell in cells.items()}
+        corpus_cells[source.corpus_id] = cells
         if not comparisons_only:
-            reports, cells = _corpus_reports(tokens, source.corpus_id,
-                                             config.outlier_filtering)
+            reports = _corpus_reports(cells, source.corpus_id)
             result.reports[source.corpus_id] = reports
             corpus_dir = out_root / source.corpus_id
 
@@ -503,17 +526,15 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
             for report in reports:
                 if report.fit_short is None or report.fit_long is None:
                     continue
-                hist_s = build_histogram(
-                    _filtered(cells[(report.vowel_class, "short")],
-                              config.outlier_filtering), config.bin_width_ms)
-                hist_l = build_histogram(
-                    _filtered(cells[(report.vowel_class, "long")],
-                              config.outlier_filtering), config.bin_width_ms)
+                hist_s = build_histogram(cells[(report.vowel_class, "short")],
+                                         config.bin_width_ms)
+                hist_l = build_histogram(cells[(report.vowel_class, "long")],
+                                         config.bin_width_ms)
                 path = corpus_dir / f"plot_{VOWEL_SLUGS[report.vowel_class]}.csv"
                 write_atomic(path, emit_plotdata(report, (hist_s, hist_l)))
                 result.output_paths.append(path)
 
-            diagnostics = _diagnostics(cells, config.outlier_filtering)
+            diagnostics = _diagnostics(cells)
             path = corpus_dir / "diagnostics.json"
             write_atomic(path, json.dumps(
                 {"corpus_id": source.corpus_id, "dip": diagnostics},
@@ -530,8 +551,7 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
         }
 
     for a, b in config.comparisons:
-        rows = _comparison_rows(VOWEL_ORDER, corpus_tokens[a],
-                                corpus_tokens[b], config.outlier_filtering)
+        rows = _comparison_rows(corpus_cells[a], corpus_cells[b])
         result.comparisons[(a, b)] = rows
         path = out_root / f"ks_{a}_vs_{b}.csv"
         write_atomic(path, _comparison_csv(rows))
@@ -567,7 +587,3 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
                                   sort_keys=True) + "\n")
     result.output_paths.append(path)
     return result
-
-
-def _filtered(cell, outlier_filtering: bool):
-    return filter_outliers(cell) if outlier_filtering else cell

@@ -105,6 +105,18 @@ def test_textgrid_non_numeric_boundary():
     assert "non-numeric" in str(err.value)
 
 
+def test_textgrid_non_integer_sizes_name_line():
+    text = one_tier_textgrid([(0.0, 0.07, "a"), (0.07, 1.0, "")])
+    bad_tiers = text.replace("size = 1\n", "size = 1.7\n", 1)
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(bad_tiers)
+    assert "size = 1.7" in bad_tiers.splitlines()[err.value.line - 1]
+    bad_intervals = text.replace("intervals: size = 2", "intervals: size = 2.5")
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(bad_intervals)
+    assert "size = 2.5" in bad_intervals.splitlines()[err.value.line - 1]
+
+
 def test_textgrid_overlap_rejected():
     text = one_tier_textgrid([(0.0, 0.5, "a"), (0.4, 0.9, "e")])
     with pytest.raises(ParseError) as err:

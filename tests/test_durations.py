@@ -1,4 +1,4 @@
-"""Duration cells: outlier rule, summaries, histograms."""
+"""Duration cells: outlier rule, summary statistics, histograms."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from vlcontrast.durations import (
     build_histogram,
     collect_cells,
     filter_outliers,
-    summary,
 )
 from vlcontrast.alignment import VowelToken
 from vlcontrast.synthgen import sample_gamma
@@ -24,7 +23,6 @@ def test_sample_set_stats():
     assert c.n == 2
     assert c.mean_ms == pytest.approx(100.0)
     assert c.sd_ms == pytest.approx(42.42640687119285)
-    assert summary(c) == (2, c.mean_ms, c.sd_ms)
 
 
 def test_sample_set_rejects_nonpositive():
@@ -35,15 +33,15 @@ def test_sample_set_rejects_nonpositive():
 
 
 def test_summary_empty_and_singleton():
-    assert summary(cell([])) == (0, None, None)
-    n, mean, sd = summary(cell([81.0]))
-    assert (n, mean, sd) == (1, 81.0, None)
+    empty = cell([])
+    assert (empty.n, empty.mean_ms, empty.sd_ms) == (0, None, None)
+    single = cell([81.0])
+    assert (single.n, single.mean_ms, single.sd_ms) == (1, 81.0, None)
 
 
 def test_summary_seeded_gamma_mean():
     draws = sample_gamma(4.0, 20.0, 10_000, seed=424242)
-    _, mean, _ = summary(cell(draws))
-    assert abs(mean - 80.0) < 1.0
+    assert abs(cell(draws).mean_ms - 80.0) < 1.0
 
 
 def test_filter_outliers_trivial_cases():
@@ -116,7 +114,7 @@ def test_histogram_normalization():
 def test_histogram_empty():
     h = build_histogram(cell([]), 10.0)
     assert h.nbins == 0
-    assert h.bin_edges == ()
+    assert h.counts == () and h.densities == ()
 
 
 def test_histogram_rejects_bad_width():

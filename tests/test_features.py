@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import area_trapezoid
-from vlcontrast.durations import DurationSampleSet
+from vlcontrast.durations import DurationSampleSet, collect_cells, filter_outliers
 from vlcontrast.features import (
     AREA_SIGNIFICANCE_THRESHOLD,
     compare_corpora,
@@ -108,8 +108,8 @@ def _cell(samples, vowel="a", length="short", corpus="t"):
 
 def test_contrast_report_identical_cells():
     draws = sample_gamma(6.0, 11.5, 400, seed=83)
-    rep = contrast_report(_cell(draws, length="short"),
-                          _cell(draws, length="long"))
+    rep = contrast_report(filter_outliers(_cell(draws, length="short")),
+                          filter_outliers(_cell(draws, length="long")))
     assert rep.r1 == pytest.approx(1.0, abs=1e-9)
     assert rep.r2 == pytest.approx(1.0, abs=1e-9)
     assert rep.area <= 1e-6
@@ -123,8 +123,8 @@ def test_contrast_report_significant_synthetic_a_cell():
     # modes 50 ms apart; true-parameter area is 0.5517
     short = sample_gamma(6.0, 11.5, 4673, seed=91)
     long_ = sample_gamma(125.0 / 17.5, 17.5, 880, seed=92)
-    rep = contrast_report(_cell(short, length="short"),
-                          _cell(long_, length="long"))
+    rep = contrast_report(filter_outliers(_cell(short, length="short")),
+                          filter_outliers(_cell(long_, length="long")))
     assert rep.significant is True
     assert rep.area > AREA_SIGNIFICANCE_THRESHOLD
     assert rep.flags == frozenset()
@@ -134,16 +134,16 @@ def test_contrast_report_significant_synthetic_a_cell():
 def test_contrast_report_weak_synthetic_o_cell():
     short = sample_gamma(4.5625, 16.0, 881, seed=93)
     long_ = sample_gamma(102.0 / 21.0, 21.0, 710, seed=94)
-    rep = contrast_report(_cell(short, vowel="ɔ", length="short"),
-                          _cell(long_, vowel="ɔ", length="long"))
+    rep = contrast_report(filter_outliers(_cell(short, vowel="ɔ", length="short")),
+                          filter_outliers(_cell(long_, vowel="ɔ", length="long")))
     assert rep.significant is False
     assert rep.area < AREA_SIGNIFICANCE_THRESHOLD
 
 
 def test_contrast_report_degenerate_side_carries_error():
     short = sample_gamma(6.0, 11.5, 50, seed=95)
-    rep = contrast_report(_cell(short, length="short"),
-                          _cell([120.0], length="long"))
+    rep = contrast_report(filter_outliers(_cell(short, length="short")),
+                          filter_outliers(_cell([120.0], length="long")))
     assert rep.error is not None and "long" in rep.error
     assert rep.r1 is None and rep.area is None
     assert rep.significant is False
@@ -154,8 +154,8 @@ def test_contrast_report_degenerate_side_carries_error():
 def test_contrast_report_low_n_flags():
     short = sample_gamma(6.0, 11.5, 15, seed=96)
     long_ = sample_gamma(7.0, 17.5, 120, seed=97)
-    rep = contrast_report(_cell(short, length="short"),
-                          _cell(long_, length="long"))
+    rep = contrast_report(filter_outliers(_cell(short, length="short")),
+                          filter_outliers(_cell(long_, length="long")))
     assert "low_n_short" in rep.flags
     assert "low_n_long" not in rep.flags
     assert rep.error is None
@@ -165,8 +165,8 @@ def test_contrast_report_negative_delta_flagged():
     # long cell centred left of the short cell
     short = sample_gamma(9.0, 15.0, 300, seed=98)   # mode ~120
     long_ = sample_gamma(4.0, 20.0, 300, seed=99)   # mode ~60
-    rep = contrast_report(_cell(short, length="short"),
-                          _cell(long_, length="long"))
+    rep = contrast_report(filter_outliers(_cell(short, length="short")),
+                          filter_outliers(_cell(long_, length="long")))
     assert rep.delta_ms < 0
     assert "negative_delta" in rep.flags
 
@@ -186,11 +186,10 @@ def test_contrast_report_outlier_filter_toggle():
     plant = float(arr.mean() + 5.0 * arr.std(ddof=1))
     spiked = list(base) + [plant]
     long_ = sample_gamma(8.0, 16.0, 200, seed=7)
-    filtered = contrast_report(_cell(spiked, length="short"),
-                               _cell(long_, length="long"))
+    filtered = contrast_report(filter_outliers(_cell(spiked, length="short")),
+                               filter_outliers(_cell(long_, length="long")))
     raw = contrast_report(_cell(spiked, length="short"),
-                          _cell(long_, length="long"),
-                          apply_outlier_filter=False)
+                          _cell(long_, length="long"))
     assert filtered.n_short == 999
     assert raw.n_short == 1000
 
@@ -198,12 +197,12 @@ def test_contrast_report_outlier_filter_toggle():
 def test_time_unit_equivariance():
     short = sample_gamma(6.0, 11.5, 500, seed=101)
     long_ = sample_gamma(7.0, 17.5, 300, seed=102)
-    base = contrast_report(_cell(short, length="short"),
-                           _cell(long_, length="long"))
+    base = contrast_report(filter_outliers(_cell(short, length="short")),
+                           filter_outliers(_cell(long_, length="long")))
     for c in (0.5, 2.0, 10.0):
         scaled = contrast_report(
-            _cell([c * x for x in short], length="short"),
-            _cell([c * x for x in long_], length="long"))
+            filter_outliers(_cell([c * x for x in short], length="short")),
+            filter_outliers(_cell([c * x for x in long_], length="long")))
         assert scaled.r1 == pytest.approx(base.r1, rel=1e-6)
         assert scaled.r2 == pytest.approx(base.r2, rel=1e-6)
         assert scaled.area == pytest.approx(base.area, abs=1e-6)
@@ -215,9 +214,14 @@ def _tokens(vowel, length, durations, corpus):
             for i, d in enumerate(durations)]
 
 
+def _cells(tokens):
+    return {key: filter_outliers(cell)
+            for key, cell in collect_cells(tokens).items()}
+
+
 def test_compare_corpora_self_is_zero():
     toks = _tokens("a", "short", sample_gamma(6.0, 11.5, 200, seed=103), "c1")
-    res = compare_corpora("a", toks, toks, "short")
+    res = compare_corpora("a", _cells(toks), _cells(toks), "short")
     assert res.statistic == 0.0
     assert res.p_value == 1.0
     assert res.corpus_a == res.corpus_b == "c1"
@@ -226,7 +230,7 @@ def test_compare_corpora_self_is_zero():
 def test_compare_corpora_null_case_fixed_seeds():
     a = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=101), "A")
     b = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=202), "B")
-    res = compare_corpora("a", a, b, "short")
+    res = compare_corpora("a", _cells(a), _cells(b), "short")
     assert res.p_value > 0.05
     assert res.vowel_class == "a"
     assert res.length_class == "short"
@@ -235,7 +239,7 @@ def test_compare_corpora_null_case_fixed_seeds():
 def test_compare_corpora_shifted_means_detected():
     a = _tokens("a", "short", sample_gamma(6.0, 69.0 / 6.0, 500, seed=301), "A")
     b = _tokens("a", "short", sample_gamma(6.0, 94.0 / 6.0, 500, seed=302), "B")
-    res = compare_corpora("a", a, b, "short")
+    res = compare_corpora("a", _cells(a), _cells(b), "short")
     assert res.p_value < 0.01
 
 
@@ -244,11 +248,11 @@ def test_compare_corpora_pooled_and_errors():
          + _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105), "A"))
     b = (_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106), "B")
          + _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107), "B"))
-    pooled = compare_corpora("a", a, b, "pooled")
+    pooled = compare_corpora("a", _cells(a), _cells(b), "pooled")
     assert pooled.n1 <= 100 and pooled.n2 <= 80  # post filtering
 
     with pytest.raises(ValueError) as err:
-        compare_corpora("u", a, b, "short")
+        compare_corpora("u", _cells(a), _cells(b), "short")
     assert "u" in str(err.value)
     with pytest.raises(ValueError):
-        compare_corpora("a", a, b, "sideways")
+        compare_corpora("a", _cells(a), _cells(b), "sideways")

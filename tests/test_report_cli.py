@@ -143,15 +143,15 @@ def test_plotdata_columns_and_normalization(mimic_run):
 
 
 def test_plotdata_identical_sets_have_equal_curves():
-    from vlcontrast.durations import DurationSampleSet, build_histogram
+    from vlcontrast.durations import DurationSampleSet, build_histogram, filter_outliers
     from vlcontrast.features import contrast_report
     from vlcontrast.report import emit_plotdata
     from vlcontrast.synthgen import sample_gamma
 
     draws = tuple(sample_gamma(6.0, 11.5, 300, seed=77))
     rep = contrast_report(
-        DurationSampleSet("a", "short", "c", draws),
-        DurationSampleSet("a", "long", "c", draws))
+        filter_outliers(DurationSampleSet("a", "short", "c", draws)),
+        filter_outliers(DurationSampleSet("a", "long", "c", draws)))
     hist = build_histogram(DurationSampleSet("a", "short", "c", draws), 10.0)
     text = emit_plotdata(rep, (hist, hist))
     for line in text.strip().splitlines()[1:]:
@@ -422,3 +422,174 @@ def test_runs_are_byte_identical(tmp_path):
     assert sorted(snapshot) == sorted(second.output_paths)
     for path, blob in snapshot.items():
         assert path.read_bytes() == blob
+
+
+def _config_json(**extra):
+    obj = {"corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}],
+           "output_dir": "o"}
+    obj.update(extra)
+    return json.dumps(obj)
+
+
+def test_config_from_json_rejects_non_boolean_filter_switch():
+    assert AnalysisConfig.from_json(_config_json()).outlier_filtering is True
+    assert AnalysisConfig.from_json(
+        _config_json(outlier_filtering=False)).outlier_filtering is False
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig.from_json(_config_json(outlier_filtering=bad))
+        assert "outlier_filtering" in str(err.value)
+
+
+def test_config_from_json_rejects_unknown_keys():
+    with pytest.raises(ConfigError) as err:
+        AnalysisConfig.from_json(_config_json(outlier_filter=False))
+    assert "outlier_filter" in str(err.value)
+    typo = [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm",
+             "fromat": "textgrid"}]
+    with pytest.raises(ConfigError) as err:
+        AnalysisConfig.from_json(_config_json(corpora=typo))
+    assert "fromat" in str(err.value)
+    with pytest.raises(ConfigError):
+        AnalysisConfig.from_json(_config_json(corpora=["x.ctm"]))
+
+
+def _ctm(durations_by_label, utt_prefix="u"):
+    lines = []
+    for label, durations in durations_by_label:
+        for d in durations:
+            lines.append(f"{utt_prefix}{len(lines)} 1 0.0 {d / 1000.0:.4f} {label}")
+    return "\n".join(lines) + "\n"
+
+
+def test_duplicate_input_paths_are_read_once(tmp_path):
+    from vlcontrast.report import _alignment_files
+
+    corpus_dir = tmp_path / "ctm"
+    corpus_dir.mkdir()
+    (corpus_dir / "b.ctm").write_text(
+        _ctm([("a", [60.0 + i for i in range(30)]),
+              ("aa", [140.0 + i for i in range(20)])]), encoding="utf-8")
+    (corpus_dir / "a.ctm").write_text(_ctm([("a", [70.0])]), encoding="utf-8")
+    (tmp_path / "link.ctm").symlink_to(corpus_dir / "b.ctm")
+    paths = (str(corpus_dir / "b.ctm"), str(corpus_dir),
+             str(tmp_path / "ctm" / ".." / "ctm" / "b.ctm"),
+             str(tmp_path / "link.ctm"))
+    source = CorpusSource("c", paths, "ctm")
+    assert [p.name for p in _alignment_files(source)] == ["b.ctm", "a.ctm"]
+
+    run_analysis(AnalysisConfig(corpora=(source,),
+                                output_dir=str(tmp_path / "out")))
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text(
+        encoding="utf-8"))
+    assert meta["corpora"]["c"]["tokens"] == 51
+
+
+def test_utf16_textgrids_decode_by_byte_order_mark(tmp_path):
+    spec = CorpusSpec("wo", seed=12, cells=(
+        CellSpec("ɛ", "short", 7.0, 11.0, 60),
+        CellSpec("ɛ", "long", 8.0, 15.0, 40),
+        CellSpec("ɔ", "short", 4.5, 16.0, 30),
+    ), utterance_size=10, emit_formats=("textgrid",))
+    files = generate_corpus(spec).files
+    encoders = {
+        "utf8": lambda text: text.encode("utf-8"),
+        "utf8bom": lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),
+        "utf16le": lambda text: b"\xff\xfe" + text.encode("utf-16-le"),
+        "utf16be": lambda text: b"\xfe\xff" + text.encode("utf-16-be"),
+    }
+    tables = {}
+    for name, encode in encoders.items():
+        corpus_dir = tmp_path / name
+        corpus_dir.mkdir()
+        for file_name, text in files.items():
+            (corpus_dir / file_name).write_bytes(encode(text))
+        out = tmp_path / f"out_{name}"
+        run_analysis(AnalysisConfig(
+            corpora=(CorpusSource("wo", (str(corpus_dir),), "textgrid"),),
+            output_dir=str(out)))
+        tables[name] = (out / "wo" / "features.csv").read_text(encoding="utf-8")
+    assert "ɛ," in tables["utf8"] and "ɔ," in tables["utf8"]
+    for name in ("utf8bom", "utf16le", "utf16be"):
+        assert tables[name] == tables["utf8"]
+
+    bad_dir = tmp_path / "latin1"
+    bad_dir.mkdir()
+    (bad_dir / "bad.TextGrid").write_bytes(  # Latin-1 "é": not UTF-8
+        b'File type = "ooTextFile"\ntext = "caf\xe9"\n')
+    with pytest.raises(CorpusLoadError) as err:
+        run_analysis(AnalysisConfig(
+            corpora=(CorpusSource("wo", (str(bad_dir),), "textgrid"),),
+            output_dir=str(tmp_path / "out_bad")))
+    assert "bad.TextGrid" in str(err.value) and "decode" in str(err.value)
+
+
+def _single_table_run(tmp_path, monkeypatch, outlier_filtering):
+    import vlcontrast.report as report_module
+
+    calls = []
+    original = report_module.filter_outliers
+
+    def counting_filter(cell):
+        calls.append((cell.corpus_id, cell.vowel_class, cell.length_class))
+        return original(cell)
+
+    monkeypatch.setattr(report_module, "filter_outliers", counting_filter)
+    short_a = [60.0 + 0.5 * i for i in range(40)] + [400.0]  # planted outlier
+    long_a = [140.0 + i for i in range(30)]
+    short_b = [62.0 + 0.5 * i for i in range(40)]
+    long_b = [138.0 + i for i in range(30)]
+    (tmp_path / "A.ctm").write_text(
+        _ctm([("a", short_a), ("aa", long_a)]), encoding="utf-8")
+    (tmp_path / "B.ctm").write_text(
+        _ctm([("a", short_b), ("aa", long_b)]), encoding="utf-8")
+    out = tmp_path / ("filtered" if outlier_filtering else "raw")
+    run_analysis(AnalysisConfig(
+        corpora=(CorpusSource("A", (str(tmp_path / "A.ctm"),), "ctm"),
+                 CorpusSource("B", (str(tmp_path / "B.ctm"),), "ctm")),
+        output_dir=str(out), outlier_filtering=outlier_filtering,
+        comparisons=(("A", "B"),)))
+    return out, calls
+
+
+def _output_counts(out, bin_width_ms=10.0):
+    """n_short, plot-histogram counts, dip n and KS n_a for vowel a of A."""
+    features = json.loads((out / "A" / "features.json").read_text(
+        encoding="utf-8"))
+    n_short = features["reports"][0]["n_short"]
+    rows = [line.split(",") for line in (out / "A" / "plot_a.csv").read_text(
+        encoding="utf-8").strip().splitlines()[1:]]
+    hist = [float(r[1]) * bin_width_ms for r in rows
+            if float(r[0]) % bin_width_ms == bin_width_ms / 2]
+    dip = json.loads((out / "A" / "diagnostics.json").read_text(
+        encoding="utf-8"))["dip"]["a"]["n"]
+    ks = json.loads((out / "ks_A_vs_B.json").read_text(encoding="utf-8"))
+    n_a = {r["length_class"]: r["n_a"] for r in ks}
+    return n_short, hist, dip, n_a
+
+
+def _histogram_holds(mass_per_bin, n):
+    counts = [m * n for m in mass_per_bin]
+    return (all(abs(c - round(c)) < 1e-6 for c in counts)
+            and sum(round(c) for c in counts) == n)
+
+
+def test_one_filtered_cell_table_feeds_every_output(tmp_path, monkeypatch):
+    out, calls = _single_table_run(tmp_path, monkeypatch, True)
+    n_short, hist, dip_n, n_a = _output_counts(out)
+    assert n_short == 40  # the planted 400 ms token is dropped
+    assert _histogram_holds(hist, 40) and not _histogram_holds(hist, 41)
+    assert dip_n == 40 + 30
+    assert n_a == {"short": 40, "long": 30, "pooled": 70}
+    assert sorted(calls) == sorted(
+        (c, "a", length) for c in ("A", "B") for length in ("short", "long"))
+
+
+def test_unfiltered_cell_table_feeds_every_output(tmp_path, monkeypatch):
+    out, calls = _single_table_run(tmp_path, monkeypatch, False)
+    n_short, hist, dip_n, n_a = _output_counts(out)
+    assert n_short == 41
+    assert _histogram_holds(hist, 41) and not _histogram_holds(hist, 40)
+    assert dip_n == 41 + 30
+    assert n_a == {"short": 41, "long": 30, "pooled": 71}
+    assert calls == []
