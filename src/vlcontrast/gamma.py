@@ -10,8 +10,8 @@ For k >= 1 the density has its mode at (k-1)*theta.
 Fitting is maximum likelihood: method-of-moments initialization followed
 by Newton iterations on log(k) against the profile log-likelihood, with
 theta = mean/k substituted at every step.  The special functions needed
-(log-gamma, digamma, trigamma) are computed locally so that results do
-not depend on the host SciPy version.
+(log-gamma, digamma, trigamma, incomplete gamma) are computed locally
+so that results do not depend on the host SciPy version.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "log_gamma",
     "digamma",
     "trigamma",
+    "gamma_cdf",
     "moment_estimate",
     "fit_gamma",
     "gamma_log_likelihood",
@@ -125,6 +126,39 @@ def trigamma(x: float) -> float:
                                                         - inv2 * (5.0 / 66.0))))))
     )
     return acc + tail
+
+
+def gamma_cdf(shape: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(shape, x), x >= 0; a fit's CDF
+    at t ms is gamma_cdf(fit.shape, t / fit.scale).
+
+    Numerical Recipes `gammp`: a series for x < shape + 1, else 1 - Q by
+    Lentz's continued fraction (its denominators stay >= 2 there).  Error
+    below 1e-13 for shapes up to 100, where log_gamma's error takes over.
+    """
+    if x == 0.0:
+        return 0.0
+    prefactor = math.exp(shape * math.log(x) - x - log_gamma(shape))
+    if x < shape + 1.0:
+        term = total = 1.0 / shape
+        denom = shape
+        while term >= total * 1e-16:
+            denom += 1.0
+            term *= x / denom
+            total += term
+        return total * prefactor
+    b = x + 1.0 - shape
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - shape)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    return 1.0 - prefactor * h
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from .alignment import (
     speaker_rule,
 )
 from .durations import DurationSampleSet, build_histogram, collect_cells, filter_outliers
-from .features import (VOWEL_ORDER, ContrastReport, compare_corpora,
-                       contrast_report, upper_limit)
+from .features import VOWEL_ORDER, ContrastReport, compare_corpora, contrast_report
 from .gamma import GammaFit, gamma_pdf
 from .stattests import TestResult, dip_test
 
@@ -76,10 +75,43 @@ class CorpusSource:
     format: str  # "textgrid" | "ctm"
 
 
-# Keys AnalysisConfig.from_json accepts, at the top level and per corpus.
-_CONFIG_KEYS = {"corpora", "output_dir", "phone_map", "bin_width_ms",
-                "outlier_filtering", "output_formats", "comparisons", "speaker_from"}
-_CORPUS_KEYS = {"corpus_id", "paths", "format"}
+def _list_of(kind):
+    return lambda value: isinstance(value, list) and all(
+        isinstance(item, kind) for item in value)
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_STRING_OR_NULL = (lambda v: v is None or isinstance(v, str), "a string or null")
+# The keys AnalysisConfig.from_json accepts, at the top level and per
+# corpus, each with a check of its JSON value and what the check wants.
+_CONFIG_TYPES = {
+    "corpora": (_list_of(dict), "a list of corpus objects"),
+    "output_dir": _STRING,
+    "phone_map": _STRING_OR_NULL,
+    "bin_width_ms": (lambda v: type(v) in (int, float), "a number"),
+    "outlier_filtering": (lambda v: type(v) is bool, "true or false"),
+    "output_formats": (_list_of(str), "a list of strings"),
+    "comparisons": (lambda v: _list_of(list)(v) and all(
+        len(pair) == 2 and _list_of(str)(pair) for pair in v),
+        "a list of [corpus_id, corpus_id] pairs"),
+    "speaker_from": _STRING_OR_NULL,
+}
+_CORPUS_TYPES = {
+    "corpus_id": _STRING,
+    "paths": (lambda v: isinstance(v, str) or _list_of(str)(v), "a path or a list of paths"),
+    "format": _STRING,
+}
+
+
+def _check_entry(entry: dict, types: dict) -> None:
+    """Reject unknown keys and values of the wrong JSON type, naming the key."""
+    unknown = sorted(set(entry) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}")
+    for key, value in entry.items():
+        valid, expected = types[key]
+        if not valid(value):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,16 +153,9 @@ class AnalysisConfig:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        for entry, known in [(obj, _CONFIG_KEYS)] + [
-                (c, _CORPUS_KEYS) for c in obj.get("corpora", ())]:
-            if not isinstance(entry, dict):
-                raise ConfigError(f"corpus entry must be an object, got {entry!r}")
-            if set(entry) - known:
-                raise ConfigError(f"unknown config key(s) {sorted(set(entry) - known)}")
-        outlier_filtering = obj.get("outlier_filtering", True)
-        if not isinstance(outlier_filtering, bool):
-            raise ConfigError(
-                f"outlier_filtering must be true or false, got {outlier_filtering!r}")
+        _check_entry(obj, _CONFIG_TYPES)
+        for corpus in obj.get("corpora", []):
+            _check_entry(corpus, _CORPUS_TYPES)
         try:
             corpora = tuple(
                 CorpusSource(
@@ -146,7 +171,7 @@ class AnalysisConfig:
                 output_dir=obj["output_dir"],
                 phone_map_path=obj.get("phone_map"),
                 bin_width_ms=float(obj.get("bin_width_ms", 10.0)),
-                outlier_filtering=outlier_filtering,
+                outlier_filtering=obj.get("outlier_filtering", True),
                 output_formats=tuple(obj.get("output_formats",
                                              ("csv", "json", "markdown"))),
                 comparisons=tuple((a, b) for a, b in obj.get("comparisons", ())),
@@ -329,6 +354,15 @@ def emit_table(reports, fmt: str) -> str:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
+def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> float:
+    """Right end (ms) of the plot grid: the larger mode + 40 SD of the fits."""
+    limit = 0.0
+    for fit in (fit_short, fit_long):
+        mode = (fit.shape - 1.0) * fit.scale if fit.shape >= 1.0 else 0.0
+        limit = max(limit, mode + 40.0 * math.sqrt(fit.shape) * fit.scale)
+    return limit
+
+
 def emit_plotdata(report: ContrastReport, histograms) -> str:
     """CSV with histogram step densities and fitted curves for one vowel.
 
@@ -342,7 +376,7 @@ def emit_plotdata(report: ContrastReport, histograms) -> str:
             f"plot data needs successful fits for vowel {report.vowel_class!r}"
             + (f" ({report.error})" if report.error else ""))
     hist_short, hist_long = histograms
-    upper = upper_limit(report.fit_short, report.fit_long)
+    upper = _plot_upper_limit(report.fit_short, report.fit_long)
     xs = set(float(x) for x in range(0, int(math.ceil(upper)) + 1))
     for hist in (hist_short, hist_long):
         for i in range(hist.nbins):

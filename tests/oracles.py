@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the package's own numerical code
-paths: areas come from dense trapezoid sums over scipy densities, KS
+paths: areas come from dense trapezoid sums or scipy's adaptive
+quadrature over scipy densities, KS
 statistics from naive counting at every pooled threshold, and the dip
 from a direct linear-program realization of its definition (nearest
 unimodal CDF in sup norm, exhaustive over modal positions).
@@ -10,6 +11,7 @@ unimodal CDF in sup norm, exhaustive over modal positions).
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.stats import gamma as scipy_gamma
 
@@ -18,12 +20,18 @@ def gamma_pdf_ref(shape: float, scale: float, x):
     return scipy_gamma.pdf(x, shape, scale=scale)
 
 
-def area_trapezoid(fit_short, fit_long, step: float = 0.01) -> float:
-    """Positive-part area by trapezoid rule on a `step`-ms grid."""
+def _area_upper_ms(fit_short, fit_long) -> float:
+    """Larger mode + 40 SD of the two fits: the oracles' finite range."""
     upper = 0.0
     for fit in (fit_short, fit_long):
         mode = (fit.shape - 1.0) * fit.scale if fit.shape >= 1.0 else 0.0
         upper = max(upper, mode + 40.0 * np.sqrt(fit.shape) * fit.scale)
+    return upper
+
+
+def area_trapezoid(fit_short, fit_long, step: float = 0.01) -> float:
+    """Positive-part area by trapezoid rule on a `step`-ms grid."""
+    upper = _area_upper_ms(fit_short, fit_long)
     xs = np.arange(0.0, upper + step, step)
     excess = np.maximum(
         0.0,
@@ -31,6 +39,23 @@ def area_trapezoid(fit_short, fit_long, step: float = 0.01) -> float:
         - gamma_pdf_ref(fit_short.shape, fit_short.scale, xs),
     )
     return float(np.trapezoid(excess, xs))
+
+
+def area_quad(fit_short, fit_long) -> float:
+    """Positive-part area by scipy's adaptive quadrature over [0, inf).
+
+    QAGS on [0, U] (U the trapezoid oracle's bound) never evaluates the
+    origin, so it handles the x^(k-1) singularity of a shape < 1 density;
+    QAGI adds the tail beyond U.
+    """
+    def excess(x):
+        return max(0.0, float(gamma_pdf_ref(fit_long.shape, fit_long.scale, x)
+                              - gamma_pdf_ref(fit_short.shape, fit_short.scale, x)))
+
+    upper = _area_upper_ms(fit_short, fit_long)
+    head, _ = quad(excess, 0.0, upper, epsabs=1e-13, epsrel=1e-13, limit=500)
+    tail, _ = quad(excess, upper, np.inf, epsabs=1e-13, epsrel=1e-13, limit=500)
+    return head + tail
 
 
 def ks_d_exhaustive(x, y) -> float:

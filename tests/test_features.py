@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import area_trapezoid
+from oracles import area_quad, area_trapezoid
 from vlcontrast.durations import DurationSampleSet, collect_cells, filter_outliers
 from vlcontrast.features import (
     AREA_SIGNIFICANCE_THRESHOLD,
@@ -13,8 +13,9 @@ from vlcontrast.features import (
     compute_r1,
     compute_r2,
     contrast_report,
+    density_crossings,
 )
-from vlcontrast.gamma import GammaFit, NoInteriorModeError
+from vlcontrast.gamma import GammaFit, NoInteriorModeError, gamma_pdf
 from vlcontrast.alignment import VowelToken
 from vlcontrast.synthgen import sample_gamma
 
@@ -62,6 +63,40 @@ def test_area_symmetric_total_variation():
         a = GammaFit(float(rng.uniform(1.1, 30.0)), float(rng.uniform(5, 50)))
         b = GammaFit(float(rng.uniform(1.1, 30.0)), float(rng.uniform(5, 50)))
         assert abs(compute_area(a, b) - compute_area(b, a)) < 1e-6
+
+
+# Short fits against a long fit of shape < 1 (density unbounded at 0): the
+# first pair crosses twice, the second once.
+SUB_EXPONENTIAL_PAIRS = (
+    (GammaFit(25.6487, 21.3562), GammaFit(0.39732, 39.7744)),
+    (GammaFit(9.21494, 43.9306), GammaFit(0.45638, 41.4190)),
+)
+
+
+def test_area_matches_quad_oracle_when_long_shape_below_one():
+    for fit_s, fit_l in SUB_EXPONENTIAL_PAIRS:
+        assert abs(compute_area(fit_s, fit_l) - area_quad(fit_s, fit_l)) < 1e-9
+        assert abs(compute_area(fit_s, fit_l) - compute_area(fit_l, fit_s)) < 1e-12
+
+
+def test_density_crossings():
+    (two_s, two_l), (one_s, one_l) = SUB_EXPONENTIAL_PAIRS
+    cases = [
+        (two_s, two_l, 2),
+        (one_s, one_l, 1),
+        (FIT_S, FIT_L, 2),                               # far tail
+        (GammaFit(4.0, 20.0), GammaFit(4.0, 30.0), 1),   # equal shapes
+        (GammaFit(4.0, 20.0), GammaFit(6.0, 20.0), 1),   # equal scales
+    ]
+    for fit_s, fit_l, count in cases:
+        crossings = density_crossings(fit_s, fit_l)
+        assert len(crossings) == count
+        assert list(crossings) == sorted(crossings)
+        assert density_crossings(fit_l, fit_s) == crossings
+        for x in crossings:
+            assert gamma_pdf(fit_l, x) == pytest.approx(gamma_pdf(fit_s, x), rel=1e-9)
+    assert density_crossings(FIT_S, FIT_S) == ()
+    assert compute_area(FIT_S, FIT_S) == 0.0
 
 
 def test_area_in_unit_interval():

@@ -454,6 +454,38 @@ def test_config_from_json_rejects_unknown_keys():
         AnalysisConfig.from_json(_config_json(corpora=["x.ctm"]))
 
 
+def test_config_from_json_checks_value_types_and_names_the_key():
+    corpus = {"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}
+    bad_values = [
+        ("output_formats", {"output_formats": "csv"}),
+        ("comparisons", {"comparisons": [["c", "c", "c"]]}),
+        ("comparisons", {"comparisons": "c"}),
+        ("bin_width_ms", {"bin_width_ms": "ten"}),
+        ("bin_width_ms", {"bin_width_ms": True}),
+        ("speaker_from", {"speaker_from": 5}),
+        ("phone_map", {"phone_map": ["m"]}),
+        ("output_dir", {"output_dir": 5}),
+        ("corpora", {"corpora": "x.ctm"}),
+        ("paths", {"corpora": [dict(corpus, paths=5)]}),
+        ("paths", {"corpora": [dict(corpus, paths=["x.ctm", 5])]}),
+        ("corpus_id", {"corpora": [dict(corpus, corpus_id=5)]}),
+        ("format", {"corpora": [dict(corpus, format=["ctm"])]}),
+    ]
+    for key, extra in bad_values:
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig.from_json(_config_json(**extra))
+        assert key in str(err.value), (key, extra, str(err.value))
+    config = AnalysisConfig.from_json(_config_json(
+        corpora=[dict(corpus, paths="x.ctm")], bin_width_ms=5,
+        output_formats=["csv"], phone_map="m.tsv", speaker_from="fixed:s1",
+        comparisons=[["c", "c"]]))
+    assert config.corpora[0].paths == ("x.ctm",)
+    assert config.bin_width_ms == 5.0 and isinstance(config.bin_width_ms, float)
+    assert config.output_formats == ("csv",)
+    assert config.comparisons == (("c", "c"),)
+    assert (config.phone_map_path, config.speaker_from) == ("m.tsv", "fixed:s1")
+
+
 def _ctm(durations_by_label, utt_prefix="u"):
     lines = []
     for label, durations in durations_by_label:
