@@ -57,21 +57,25 @@ class PhoneMapError(ValueError):
     """Invalid phone map configuration."""
 
 
+def _nfc(s: str) -> str:
+    return unicodedata.normalize("NFC", s)
+
+
 @dataclass(frozen=True)
 class PhoneInterval:
-    """One aligned phone: start/duration in seconds."""
+    """One aligned phone: start/duration in seconds, label NFC-normalized."""
 
     utterance_id: str
     phone_label: str
     start: float
     duration: float
-    speaker_id: str | None = None
 
     def __post_init__(self) -> None:
         if self.duration <= 0.0:
             raise ValueError(f"non-positive duration {self.duration!r}")
         if self.start < 0.0:
             raise ValueError(f"negative start time {self.start!r}")
+        object.__setattr__(self, "phone_label", _nfc(self.phone_label))
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,10 @@ class VowelToken:
     duration_ms: float
     utterance_id: str
     speaker_id: str | None
-    corpus_id: str
 
     def __post_init__(self) -> None:
         if self.duration_ms <= 0.0:
             raise ValueError(f"non-positive duration {self.duration_ms!r}")
-
-
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
 
 
 class PhoneMap:
@@ -349,12 +348,18 @@ def parse_textgrid(text: str, utterance_id: str = ""):
                     f"zero-length interval with label {label!r}", ix_line)
             intervals.append(PhoneInterval(
                 utterance_id=utterance_id,
-                phone_label=_nfc(label),
+                phone_label=label,
                 start=ixmin,
                 duration=_decimal_difference(ixmin_text, ixmax_text,
                                              ixmin, ixmax),
             ))
         tiers.append((tier_name, intervals))
+    trailing = scanner.next_content()
+    if trailing is not None:
+        raise ParseError(
+            f"content after the last of {n_tiers} declared tier(s) "
+            f"(a tier or interval count too small?): {trailing[1]!r}",
+            trailing[0])
     return tiers
 
 
@@ -385,7 +390,7 @@ def parse_ctm(text: str) -> list[PhoneInterval]:
             raise ParseError(f"non-positive duration {dur_s}", lineno)
         if start < 0.0:
             raise ParseError(f"negative start time {start_s}", lineno)
-        interval = PhoneInterval(utterance_id=utt, phone_label=_nfc(label),
+        interval = PhoneInterval(utterance_id=utt, phone_label=label,
                                  start=start, duration=dur)
         per_utt.setdefault(utt, []).append((start, lineno, interval))
 
@@ -428,7 +433,6 @@ def speaker_rule(spec: str | None) -> Callable[[str], str | None] | None:
 def extract_vowel_tokens(
     intervals,
     phone_map: PhoneMap,
-    corpus_id: str,
     speaker: Callable[[str], str | None] | None = None,
 ) -> list[VowelToken]:
     """Map aligned phones to vowel tokens (durations in ms).
@@ -436,21 +440,18 @@ def extract_vowel_tokens(
     Intervals whose label is not in the map are silently skipped; input
     order is preserved.
     """
+    entries = phone_map.entries  # labels are NFC on both sides
     tokens: list[VowelToken] = []
     for interval in intervals:
-        cell = phone_map.lookup(interval.phone_label)
+        cell = entries.get(interval.phone_label)
         if cell is None:
             continue
         vowel, length = cell
-        spk = interval.speaker_id
-        if spk is None and speaker is not None:
-            spk = speaker(interval.utterance_id)
         tokens.append(VowelToken(
             vowel_class=vowel,
             length_class=length,
             duration_ms=interval.duration * 1000.0,
             utterance_id=interval.utterance_id,
-            speaker_id=spk,
-            corpus_id=corpus_id,
+            speaker_id=None if speaker is None else speaker(interval.utterance_id),
         ))
     return tokens

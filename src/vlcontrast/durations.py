@@ -17,44 +17,41 @@ __all__ = [
     "filter_outliers",
     "build_histogram",
     "collect_cells",
+    "pooled_samples",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DurationSampleSet:
     """Durations of one (vowel, length) cell with derived summary stats.
 
-    Immutable; mean/sd are computed once at construction (sd uses the n-1
-    denominator).  Build modified cells with `with_samples`.
+    Immutable: `samples` is a read-only float64 copy of the input and
+    mean/sd are computed once at construction (sd uses the n-1
+    denominator).
     """
 
     vowel_class: str
     length_class: str
     corpus_id: str
-    samples: tuple[float, ...]
+    samples: np.ndarray
     n: int = field(init=False)
     mean_ms: float | None = field(init=False)
     sd_ms: float | None = field(init=False)
 
     def __post_init__(self) -> None:
-        samples = tuple(float(s) for s in self.samples)
-        if any(s <= 0.0 for s in samples):
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 1:
+            raise ValueError("durations must be a 1-d sequence")
+        if np.any(samples <= 0.0):
             raise ValueError("durations must be strictly positive")
+        samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        n = len(samples)
+        n = samples.size
         object.__setattr__(self, "n", n)
-        if n == 0:
-            mean = sd = None
-        else:
-            arr = np.asarray(samples)
-            mean = float(arr.mean())
-            sd = float(arr.std(ddof=1)) if n >= 2 else None
+        mean = float(samples.mean()) if n else None
+        sd = float(samples.std(ddof=1)) if n >= 2 else None
         object.__setattr__(self, "mean_ms", mean)
         object.__setattr__(self, "sd_ms", sd)
-
-    def with_samples(self, samples) -> "DurationSampleSet":
-        return DurationSampleSet(self.vowel_class, self.length_class,
-                                 self.corpus_id, tuple(samples))
 
 
 def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
@@ -67,10 +64,11 @@ def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
         return cell
     lo = cell.mean_ms - 3.0 * cell.sd_ms
     hi = cell.mean_ms + 3.0 * cell.sd_ms
-    kept = tuple(x for x in cell.samples if lo < x < hi)
-    if len(kept) == cell.n:
+    keep = (lo < cell.samples) & (cell.samples < hi)
+    if keep.all():
         return cell
-    return cell.with_samples(kept)
+    return DurationSampleSet(cell.vowel_class, cell.length_class,
+                             cell.corpus_id, cell.samples[keep])
 
 
 @dataclass(frozen=True)
@@ -101,30 +99,31 @@ def build_histogram(cell: DurationSampleSet, bin_width_ms: float = 10.0) -> Hist
         raise ValueError("bin width must be positive")
     if cell.n == 0:
         return Histogram(bin_width_ms, (), ())
-    arr = np.asarray(cell.samples)
-    nbins = int(math.floor(arr.max() / bin_width_ms)) + 1
-    idx = np.floor(arr / bin_width_ms).astype(int)
+    nbins = int(math.floor(cell.samples.max() / bin_width_ms)) + 1
+    idx = np.floor(cell.samples / bin_width_ms).astype(int)
     counts = np.bincount(idx, minlength=nbins)
     densities = counts / (cell.n * bin_width_ms)
     return Histogram(bin_width_ms, tuple(int(c) for c in counts),
                      tuple(float(d) for d in densities))
 
 
-def collect_cells(tokens, corpus_id: str | None = None):
-    """Group vowel tokens into (vowel, length) -> DurationSampleSet.
-
-    Tokens from other corpora are excluded when corpus_id is given.
-    """
+def collect_cells(tokens, corpus_id: str):
+    """Group vowel tokens into (vowel, length) -> DurationSampleSet of
+    the corpus `corpus_id`."""
     grouped: dict[tuple[str, str], list[float]] = {}
-    seen_corpus = corpus_id
     for tok in tokens:
-        if corpus_id is not None and tok.corpus_id != corpus_id:
-            continue
-        if seen_corpus is None:
-            seen_corpus = tok.corpus_id
         grouped.setdefault((tok.vowel_class, tok.length_class), []).append(
             tok.duration_ms)
     return {
-        key: DurationSampleSet(key[0], key[1], seen_corpus or "", tuple(durs))
+        key: DurationSampleSet(key[0], key[1], corpus_id, durs)
         for key, durs in grouped.items()
     }
+
+
+def pooled_samples(cells, vowel_class: str,
+                   lengths=("short", "long")) -> np.ndarray:
+    """The samples of the vowel's cells in `lengths`, concatenated in that
+    order; cells absent from the (vowel, length) map add nothing."""
+    return np.concatenate([np.empty(0)] + [
+        cells[(vowel_class, length)].samples for length in lengths
+        if (vowel_class, length) in cells])

@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .durations import DurationSampleSet
+from .alignment import CONTRASTED_VOWELS
+from .durations import DurationSampleSet, pooled_samples
 from .gamma import (
+    LOW_N_THRESHOLD,
     DegenerateDataError,
     GammaFit,
     NoInteriorModeError,
@@ -58,7 +60,7 @@ AREA_SIGNIFICANCE_THRESHOLD = 0.40
 UNDEFINED_DENSITY_FLOOR = 1e-12
 
 # Fixed reporting order: vowels sorted by height, front before back.
-VOWEL_ORDER = ("i", "e", "ɛ", "a", "ɔ", "o", "u")
+VOWEL_ORDER = CONTRASTED_VOWELS
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,9 @@ def contrast_report(
             fits[side] = fit_gamma(cell.samples)
         except (DegenerateDataError, ValueError) as exc:
             errors.append(f"{side}: {exc}")
-    if set_short.n and set_short.n < 20:
+    if set_short.n and set_short.n < LOW_N_THRESHOLD:
         flags.add("low_n_short")
-    if set_long.n and set_long.n < 20:
+    if set_long.n and set_long.n < LOW_N_THRESHOLD:
         flags.add("low_n_long")
 
     if errors:
@@ -245,12 +247,8 @@ def compare_corpora(
     sides = []
     for name, cells in (("A", cells_a), ("B", cells_b)):
         corpus_id = next((c.corpus_id for c in cells.values()), name)
-        durations: list[float] = []
-        for length in lengths:
-            cell = cells.get((vowel_class, length))
-            if cell is not None:
-                durations.extend(cell.samples)
-        if not durations:
+        durations = pooled_samples(cells, vowel_class, lengths)
+        if not durations.size:
             raise ValueError(
                 f"corpus {corpus_id!r} has no tokens for cell "
                 f"({vowel_class}, {length_class})")

@@ -193,7 +193,6 @@ class GammaFit:
 
 
 def _as_positive_array(samples) -> np.ndarray:
-    samples = getattr(samples, "samples", samples)
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         x = x.ravel()
@@ -228,10 +227,10 @@ def gamma_log_likelihood(shape: float, scale: float, samples) -> float:
 def fit_gamma(samples) -> GammaFit:
     """Maximum-likelihood gamma fit of a positive sample.
 
-    Accepts any 1-d sequence of positive reals, or an object with a
-    `.samples` attribute (a duration cell).  Raises DegenerateDataError
-    for n < 2 or zero spread.  Fits with 2 <= n < 20 succeed but are
-    reported low_n by the caller.
+    Accepts any 1-d sequence of positive reals, such as a duration
+    cell's `samples`.  Raises DegenerateDataError for n < 2 or zero
+    spread.  Fits with 2 <= n < 20 succeed but are reported low_n by the
+    caller.
     """
     x = _as_positive_array(samples)
     k0, theta0 = moment_estimate(x)  # validates n and spread

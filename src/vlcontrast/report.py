@@ -31,7 +31,8 @@ from .alignment import (
     parse_textgrid,
     speaker_rule,
 )
-from .durations import DurationSampleSet, build_histogram, collect_cells, filter_outliers
+from .durations import (DurationSampleSet, build_histogram, collect_cells,
+                         filter_outliers, pooled_samples)
 from .features import VOWEL_ORDER, ContrastReport, compare_corpora, contrast_report
 from .gamma import GammaFit, gamma_pdf
 from .stattests import TestResult, dip_test
@@ -132,12 +133,16 @@ class AnalysisConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate corpus ids in {ids}")
         for c in self.corpora:
+            if c.corpus_id in ("", ".", "..") or {"/", "\\"} & set(c.corpus_id):
+                raise ConfigError("config key 'corpus_id' must be one plain path "
+                                  f"component, got {c.corpus_id!r}")
             if c.format not in ("textgrid", "ctm"):
                 raise ConfigError(f"unknown corpus format {c.format!r}")
             if not c.paths:
                 raise ConfigError(f"corpus {c.corpus_id!r} lists no paths")
-        if self.bin_width_ms <= 0:
-            raise ConfigError("bin width must be positive")
+        if not (math.isfinite(self.bin_width_ms) and self.bin_width_ms > 0):
+            raise ConfigError("config key 'bin_width_ms' must be a positive "
+                              f"finite number, got {self.bin_width_ms!r}")
         for fmt in self.output_formats:
             if fmt not in ("csv", "json", "markdown"):
                 raise ConfigError(f"unknown output format {fmt!r}")
@@ -195,13 +200,13 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _fmt(value, full_precision: bool = True) -> str:
+def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value) if full_precision else f"{value:.2f}"
+        return repr(value)
     return str(value)
 
 
@@ -209,13 +214,10 @@ def _flags_str(report: ContrastReport) -> str:
     return ";".join(sorted(report.flags))
 
 
-def _ratio_cell(value, flags, undefined_flag, mark, full_precision=True,
-                decimals=2) -> str:
+def _ratio_cell(value, flags, undefined_flag, mark, full_precision=True) -> str:
     if value is None:
         return mark if undefined_flag in flags else ""
-    if full_precision:
-        return repr(value)
-    return f"{value:.{decimals}f}"
+    return repr(value) if full_precision else f"{value:.2f}"
 
 
 def _table_row(report: ContrastReport, full_precision: bool) -> list[str]:
@@ -253,69 +255,28 @@ def _sorted_reports(reports) -> list[ContrastReport]:
                                                     len(order)), r.vowel_class))
 
 
-def _fit_dict(fit: GammaFit | None):
-    if fit is None:
-        return None
-    return {
-        "shape": fit.shape,
-        "scale": fit.scale,
-        "n_used": fit.n_used,
-        "log_likelihood": None if math.isnan(fit.log_likelihood)
-        else fit.log_likelihood,
-        "converged": fit.converged,
-    }
+_FIT_FIELDS = ("fit_short", "fit_long")
 
 
 def _report_dict(report: ContrastReport) -> dict:
-    return {
-        "vowel_class": report.vowel_class,
-        "corpus_id": report.corpus_id,
-        "n_short": report.n_short,
-        "n_long": report.n_long,
-        "mean_short_ms": report.mean_short_ms,
-        "mean_long_ms": report.mean_long_ms,
-        "fit_short": _fit_dict(report.fit_short),
-        "fit_long": _fit_dict(report.fit_long),
-        "r1": report.r1,
-        "r2": report.r2,
-        "area": report.area,
-        "delta_ms": report.delta_ms,
-        "significant": report.significant,
-        "flags": sorted(report.flags),
-        "error": report.error,
-    }
-
-
-def _fit_from_dict(obj) -> GammaFit | None:
-    if obj is None:
-        return None
-    return GammaFit(
-        shape=obj["shape"], scale=obj["scale"], n_used=obj["n_used"],
-        log_likelihood=math.nan if obj["log_likelihood"] is None
-        else obj["log_likelihood"],
-        converged=obj["converged"],
-    )
+    """JSON form of a report: flags sorted, a NaN log-likelihood as null."""
+    obj = asdict(report)
+    obj["flags"] = sorted(report.flags)
+    for key in _FIT_FIELDS:
+        if obj[key] is not None and math.isnan(obj[key]["log_likelihood"]):
+            obj[key]["log_likelihood"] = None
+    return obj
 
 
 def report_from_dict(obj: dict) -> ContrastReport:
     """Inverse of the JSON report serialization (exact field recovery)."""
-    return ContrastReport(
-        vowel_class=obj["vowel_class"],
-        corpus_id=obj["corpus_id"],
-        n_short=obj["n_short"],
-        n_long=obj["n_long"],
-        mean_short_ms=obj["mean_short_ms"],
-        mean_long_ms=obj["mean_long_ms"],
-        fit_short=_fit_from_dict(obj["fit_short"]),
-        fit_long=_fit_from_dict(obj["fit_long"]),
-        r1=obj["r1"],
-        r2=obj["r2"],
-        area=obj["area"],
-        delta_ms=obj["delta_ms"],
-        significant=obj["significant"],
-        flags=frozenset(obj["flags"]),
-        error=obj["error"],
-    )
+    fields = dict(obj, flags=frozenset(obj["flags"]))
+    for key in _FIT_FIELDS:
+        if obj[key] is not None:
+            ll = obj[key]["log_likelihood"]
+            fields[key] = GammaFit(**dict(
+                obj[key], log_likelihood=math.nan if ll is None else ll))
+    return ContrastReport(**fields)
 
 
 def emit_table(reports, fmt: str) -> str:
@@ -455,8 +416,7 @@ def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap, speaker):
                     intervals.extend(tier_intervals)
         except ParseError as exc:
             raise CorpusLoadError(f"{path}: {exc}") from exc
-        tokens.extend(extract_vowel_tokens(intervals, phone_map,
-                                           source.corpus_id, speaker=speaker))
+        tokens.extend(extract_vowel_tokens(intervals, phone_map, speaker))
     if not tokens:
         raise CorpusLoadError(
             f"corpus {source.corpus_id!r} contains no vowel tokens "
@@ -483,12 +443,8 @@ def _diagnostics(cells) -> dict:
     """Per-vowel dip statistic over the pooled (short+long) durations."""
     out = {}
     for vowel in VOWEL_ORDER:
-        pooled: list[float] = []
-        for length in ("short", "long"):
-            cell = cells.get((vowel, length))
-            if cell is not None:
-                pooled.extend(cell.samples)
-        if len(pooled) >= 4:
+        pooled = pooled_samples(cells, vowel)
+        if pooled.size >= 4:
             result = dip_test(pooled)
             out[vowel] = {"dip": result.statistic, "n": result.n1}
     return out

@@ -255,7 +255,6 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
                 duration_ms=units / 10.0,
                 utterance_id=utt_id,
                 speaker_id=None,
-                corpus_id=spec.corpus_id,
             ))
             cursor += units
             intervals.append((cursor, FILLER_UNITS, FILLER_LABEL))

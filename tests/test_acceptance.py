@@ -195,14 +195,13 @@ def test_criterion_8_round_trip():
     assert len(corpus.tokens) == 10_000
     pm = default_phone_map()
 
-    ctm_tokens = extract_vowel_tokens(parse_ctm(corpus.files["rt.ctm"]),
-                                      pm, "rt")
+    ctm_tokens = extract_vowel_tokens(parse_ctm(corpus.files["rt.ctm"]), pm)
     tg_tokens = []
     for name in sorted(corpus.files):
         if name.endswith(".TextGrid"):
             for _tier, intervals in parse_textgrid(corpus.files[name],
                                                    utterance_id=name[:-9]):
-                tg_tokens.extend(extract_vowel_tokens(intervals, pm, "rt"))
+                tg_tokens.extend(extract_vowel_tokens(intervals, pm))
 
     def key(tokens):
         return sorted((t.vowel_class, t.length_class, t.duration_ms)

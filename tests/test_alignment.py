@@ -6,6 +6,7 @@ import pytest
 
 from vlcontrast.alignment import (
     ParseError,
+    PhoneMap,
     PhoneMapError,
     default_phone_map,
     extract_vowel_tokens,
@@ -15,6 +16,7 @@ from vlcontrast.alignment import (
     speaker_rule,
     PhoneInterval,
 )
+from vlcontrast.durations import collect_cells
 from vlcontrast.synthgen import CellSpec, CorpusSpec, generate_corpus
 
 TG_HEADER = (
@@ -115,6 +117,22 @@ def test_textgrid_non_integer_sizes_name_line():
     with pytest.raises(ParseError) as err:
         parse_textgrid(bad_intervals)
     assert "size = 2.5" in bad_intervals.splitlines()[err.value.line - 1]
+
+
+def test_textgrid_content_after_last_tier_names_line():
+    text = one_tier_textgrid([(0.0, 0.07, "a"), (0.07, 0.2, "e"), (0.2, 1.0, "aa")])
+    assert len(parse_textgrid(text + "\n\n")[0][1]) == 3
+    undercounted = text.replace("intervals: size = 3", "intervals: size = 2")
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(undercounted)
+    assert "intervals [3]:" in undercounted.splitlines()[err.value.line - 1]
+
+    second_tier = text[len(TG_HEADER):].replace("item [1]:", "item [2]:")
+    two_tiers = text + second_tier
+    assert len(parse_textgrid(two_tiers.replace("size = 1\n", "size = 2\n", 1))) == 2
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(two_tiers)  # declares one tier, holds two
+    assert "item [2]:" in two_tiers.splitlines()[err.value.line - 1]
 
 
 def test_textgrid_overlap_rejected():
@@ -228,6 +246,16 @@ def test_phone_map_nfc_normalization():
     assert pm.lookup(decomposed) == ("ɛ", "short")
 
 
+def test_phone_interval_normalizes_its_label():
+    composed, decomposed = "\u00e9", "e\u0301"
+    assert PhoneInterval("u1", decomposed, 0.0, 0.1).phone_label == composed
+    assert parse_ctm(f"u1 1 0.0 0.1 {decomposed}\n")[0].phone_label == composed
+    for map_label, label in ((composed, decomposed), (decomposed, composed)):
+        pm = PhoneMap({map_label: ("e", "long")})
+        toks = extract_vowel_tokens([PhoneInterval("u1", label, 0.0, 0.1)], pm)
+        assert [(t.vowel_class, t.length_class) for t in toks] == [("e", "long")]
+
+
 def test_extract_tokens_basic():
     pm = default_phone_map()
     intervals = [
@@ -235,19 +263,19 @@ def test_extract_tokens_basic():
         PhoneInterval("u1", "sil", 0.07, 0.5),
         PhoneInterval("u1", "aa", 0.57, 0.130),
     ]
-    toks = extract_vowel_tokens(intervals, pm, "read")
+    toks = extract_vowel_tokens(intervals, pm)
     assert [(t.vowel_class, t.length_class) for t in toks] == [
         ("a", "short"), ("a", "long")]
     assert toks[0].duration_ms == pytest.approx(70.0)
     assert toks[1].duration_ms == pytest.approx(130.0)
-    assert toks[0].corpus_id == "read"
+    assert collect_cells(toks, "read")[("a", "short")].corpus_id == "read"
 
 
 def test_extract_tokens_skips_all_consonants():
     pm = default_phone_map()
     intervals = [PhoneInterval("u1", lab, i * 0.1, 0.05)
                  for i, lab in enumerate(["b", "d", "sil", "k"])]
-    assert extract_vowel_tokens(intervals, pm, "c") == []
+    assert extract_vowel_tokens(intervals, pm) == []
 
 
 def test_speaker_rules():
@@ -264,7 +292,7 @@ def test_speaker_rules():
 
     pm = default_phone_map()
     toks = extract_vowel_tokens([PhoneInterval("s1_u1", "a", 0.0, 0.1)],
-                                pm, "c", speaker=prefix)
+                                pm, speaker=prefix)
     assert toks[0].speaker_id == "s1"
 
 
@@ -283,7 +311,7 @@ def test_textgrid_and_ctm_yield_identical_token_multisets():
     pm = default_phone_map()
 
     ctm_tokens = extract_vowel_tokens(
-        parse_ctm(corpus.files["rt.ctm"]), pm, "rt")
+        parse_ctm(corpus.files["rt.ctm"]), pm)
     tg_tokens = []
     mapped_intervals = 0
     for name in sorted(corpus.files):
@@ -292,7 +320,7 @@ def test_textgrid_and_ctm_yield_identical_token_multisets():
         for _tier, intervals in parse_textgrid(corpus.files[name],
                                                utterance_id=name[:-9]):
             mapped_intervals += sum(1 for iv in intervals if iv.phone_label in pm)
-            tg_tokens.extend(extract_vowel_tokens(intervals, pm, "rt"))
+            tg_tokens.extend(extract_vowel_tokens(intervals, pm))
 
     assert _token_multiset(ctm_tokens) == _token_multiset(tg_tokens)
     # parsed durations recover the ground truth to the emission quantum

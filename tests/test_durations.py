@@ -32,6 +32,17 @@ def test_sample_set_rejects_nonpositive():
         cell([-3.0])
 
 
+def test_sample_set_is_a_read_only_1d_copy():
+    source = np.array([70.0, 130.0])
+    c = DurationSampleSet("a", "short", "t", source)
+    source[0] = 1.0
+    assert c.samples.dtype == np.float64 and c.samples.tolist() == [70.0, 130.0]
+    with pytest.raises(ValueError):
+        c.samples[0] = 1.0
+    with pytest.raises(ValueError):
+        DurationSampleSet("a", "short", "t", [[70.0, 80.0]])
+
+
 def test_summary_empty_and_singleton():
     empty = cell([])
     assert (empty.n, empty.mean_ms, empty.sd_ms) == (0, None, None)
@@ -135,12 +146,13 @@ def test_histogram_matches_analytic_bin_probabilities():
 
 def test_collect_cells_groups_by_vowel_and_length():
     toks = [
-        VowelToken("a", "short", 70.0, "u1", None, "c"),
-        VowelToken("a", "long", 130.0, "u1", None, "c"),
-        VowelToken("a", "short", 75.0, "u2", None, "c"),
-        VowelToken("i", "short", 60.0, "u2", None, "other"),
+        VowelToken("a", "short", 70.0, "u1", None),
+        VowelToken("a", "long", 130.0, "u1", None),
+        VowelToken("a", "short", 75.0, "u2", None),
+        VowelToken("i", "short", 60.0, "u2", None),
     ]
     cells = collect_cells(toks, "c")
-    assert set(cells) == {("a", "short"), ("a", "long")}
-    assert cells[("a", "short")].samples == (70.0, 75.0)
+    assert set(cells) == {("a", "short"), ("a", "long"), ("i", "short")}
+    assert cells[("a", "short")].samples.tolist() == [70.0, 75.0]
     assert cells[("a", "long")].n == 1
+    assert {c.corpus_id for c in cells.values()} == {"c"}

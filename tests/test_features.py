@@ -244,50 +244,50 @@ def test_time_unit_equivariance():
         assert scaled.delta_ms == pytest.approx(c * base.delta_ms, rel=1e-6)
 
 
-def _tokens(vowel, length, durations, corpus):
-    return [VowelToken(vowel, length, d, f"u{i}", None, corpus)
+def _tokens(vowel, length, durations):
+    return [VowelToken(vowel, length, d, f"u{i}", None)
             for i, d in enumerate(durations)]
 
 
-def _cells(tokens):
+def _cells(tokens, corpus):
     return {key: filter_outliers(cell)
-            for key, cell in collect_cells(tokens).items()}
+            for key, cell in collect_cells(tokens, corpus).items()}
 
 
 def test_compare_corpora_self_is_zero():
-    toks = _tokens("a", "short", sample_gamma(6.0, 11.5, 200, seed=103), "c1")
-    res = compare_corpora("a", _cells(toks), _cells(toks), "short")
+    toks = _tokens("a", "short", sample_gamma(6.0, 11.5, 200, seed=103))
+    res = compare_corpora("a", _cells(toks, "c1"), _cells(toks, "c1"), "short")
     assert res.statistic == 0.0
     assert res.p_value == 1.0
     assert res.corpus_a == res.corpus_b == "c1"
 
 
 def test_compare_corpora_null_case_fixed_seeds():
-    a = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=101), "A")
-    b = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=202), "B")
-    res = compare_corpora("a", _cells(a), _cells(b), "short")
+    a = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=101))
+    b = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=202))
+    res = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "short")
     assert res.p_value > 0.05
     assert res.vowel_class == "a"
     assert res.length_class == "short"
 
 
 def test_compare_corpora_shifted_means_detected():
-    a = _tokens("a", "short", sample_gamma(6.0, 69.0 / 6.0, 500, seed=301), "A")
-    b = _tokens("a", "short", sample_gamma(6.0, 94.0 / 6.0, 500, seed=302), "B")
-    res = compare_corpora("a", _cells(a), _cells(b), "short")
+    a = _tokens("a", "short", sample_gamma(6.0, 69.0 / 6.0, 500, seed=301))
+    b = _tokens("a", "short", sample_gamma(6.0, 94.0 / 6.0, 500, seed=302))
+    res = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "short")
     assert res.p_value < 0.01
 
 
 def test_compare_corpora_pooled_and_errors():
-    a = (_tokens("a", "short", sample_gamma(6.0, 11.5, 60, seed=104), "A")
-         + _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105), "A"))
-    b = (_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106), "B")
-         + _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107), "B"))
-    pooled = compare_corpora("a", _cells(a), _cells(b), "pooled")
+    a = (_tokens("a", "short", sample_gamma(6.0, 11.5, 60, seed=104))
+         + _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105)))
+    b = (_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106))
+         + _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107)))
+    pooled = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "pooled")
     assert pooled.n1 <= 100 and pooled.n2 <= 80  # post filtering
 
     with pytest.raises(ValueError) as err:
-        compare_corpora("u", _cells(a), _cells(b), "short")
+        compare_corpora("u", _cells(a, "A"), _cells(b, "B"), "short")
     assert "u" in str(err.value)
     with pytest.raises(ValueError):
-        compare_corpora("a", _cells(a), _cells(b), "sideways")
+        compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "sideways")

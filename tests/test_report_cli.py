@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ def _report(vowel="a", **kw):
         flags=frozenset(), error=None)
     defaults.update(kw)
     return ContrastReport(**defaults)
+
+
+def test_features_json_round_trips_missing_fit_and_nan_likelihood():
+    rep = _report(fit_short=GammaFit(6.0, 11.5), fit_long=None, r1=None,
+                  r2=None, area=None, delta_ms=None, significant=False,
+                  flags=frozenset({"low_n_short", "low_n_long"}),
+                  error="long: need at least 2 samples, got 1")
+    obj = json.loads(emit_table([rep], "json"))["reports"][0]
+    assert obj["fit_short"]["log_likelihood"] is None
+    assert obj["fit_long"] is None
+    assert obj["flags"] == ["low_n_long", "low_n_short"]
+    back = report_from_dict(obj)
+    assert math.isnan(back.fit_short.log_likelihood)
+    assert replace(back.fit_short, log_likelihood=0.0) == replace(
+        rep.fit_short, log_likelihood=0.0)
+    assert replace(back, fit_short=None) == replace(rep, fit_short=None)
 
 
 def test_emit_table_single_report_csv():
@@ -484,6 +501,50 @@ def test_config_from_json_checks_value_types_and_names_the_key():
     assert config.output_formats == ("csv",)
     assert config.comparisons == (("c", "c"),)
     assert (config.phone_map_path, config.speaker_from) == ("m.tsv", "fixed:s1")
+
+
+def _small_ctm_config(tmp_path, corpus_id="c"):
+    spec = CorpusSpec("small", seed=8, cells=(
+        CellSpec("a", "short", 6.0, 11.5, 60),
+        CellSpec("a", "long", 7.0, 17.5, 40),
+    ), emit_formats=("ctm",))
+    ctm = tmp_path / "small.ctm"
+    ctm.write_text(generate_corpus(spec).files["small.ctm"], encoding="utf-8")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"corpus_id": corpus_id, "paths": [str(ctm)], "format": "ctm"}],
+        "output_dir": str(tmp_path / "outx" / "run"),
+    }), encoding="utf-8")
+    return config_path
+
+
+def test_non_finite_bin_width_is_a_config_error_naming_the_key(tmp_path, capsys):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig.from_json(_config_json(bin_width_ms=bad))
+        assert "bin_width_ms" in str(err.value)
+    config_path = _small_ctm_config(tmp_path)
+    for bad in ("nan", "inf"):
+        assert cli_main(["analyze", "--config", str(config_path),
+                         "--bin-width", bad]) == 2
+        assert "bin_width_ms" in capsys.readouterr().err
+    assert not (tmp_path / "outx").exists()
+
+
+def test_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
+    corpus = {"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}
+    for bad in ("", ".", "..", "../escape", "a/b", "a\\b", "/abs"):
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig.from_json(_config_json(
+                corpora=[dict(corpus, corpus_id=bad)]))
+        assert "corpus_id" in str(err.value), bad
+    assert AnalysisConfig.from_json(_config_json(
+        corpora=[dict(corpus, corpus_id="read.v2")])).corpora[0].corpus_id == "read.v2"
+
+    config_path = _small_ctm_config(tmp_path, corpus_id="../escape")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert "corpus_id" in capsys.readouterr().err
+    assert not (tmp_path / "outx").exists()
 
 
 def _ctm(durations_by_label, utt_prefix="u"):

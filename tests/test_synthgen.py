@@ -72,7 +72,7 @@ def test_generate_corpus_single_cell_matches_draw_log():
     assert sorted(round(x, 1) for x in raw) == sorted(
         t.duration_ms for t in corpus.tokens)
     parsed = extract_vowel_tokens(parse_ctm(corpus.files["one.ctm"]),
-                                  default_phone_map(), "one")
+                                  default_phone_map())
     assert len(parsed) == 5
     assert sorted(t.duration_ms for t in parsed) == pytest.approx(
         sorted(t.duration_ms for t in corpus.tokens), abs=1e-9)
@@ -85,7 +85,7 @@ def test_generate_corpus_empty_cells_yield_filler_only():
     corpus = generate_corpus(spec)
     assert corpus.tokens == ()
     parsed = extract_vowel_tokens(parse_ctm(corpus.files["empty.ctm"]),
-                                  default_phone_map(), "empty")
+                                  default_phone_map())
     assert parsed == []
     assert any(name.endswith(".TextGrid") for name in corpus.files)
 
@@ -151,7 +151,7 @@ def test_round_trip_durations_within_half_quantum():
     truth = sorted(t.duration_ms for t in corpus.tokens)
     assert max(abs(a - b) for a, b in zip(sorted(raw), truth)) <= 0.05 + 1e-9
 
-    parsed = extract_vowel_tokens(parse_ctm(corpus.files["rt2.ctm"]), pm, "rt2")
+    parsed = extract_vowel_tokens(parse_ctm(corpus.files["rt2.ctm"]), pm)
     assert len(parsed) == 800
     diffs = [abs(a - b) for a, b in
              zip(sorted(t.duration_ms for t in parsed), truth)]
@@ -162,7 +162,7 @@ def test_round_trip_durations_within_half_quantum():
         if name.endswith(".TextGrid"):
             for _t, ivs in parse_textgrid(corpus.files[name],
                                           utterance_id=name[:-9]):
-                tg_tokens.extend(extract_vowel_tokens(ivs, pm, "rt2"))
+                tg_tokens.extend(extract_vowel_tokens(ivs, pm))
     assert sorted(t.duration_ms for t in tg_tokens) == sorted(
         t.duration_ms for t in parsed)
 
