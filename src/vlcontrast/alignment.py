@@ -15,7 +15,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Callable
 
 __all__ = [
@@ -86,7 +86,6 @@ class VowelToken:
     length_class: str
     duration_ms: float
     utterance_id: str
-    speaker_id: str | None
 
     def __post_init__(self) -> None:
         if self.duration_ms <= 0.0:
@@ -250,14 +249,13 @@ def _expect_number(scanner: _TextGridScanner, key: str) -> tuple[int, float, str
     return lineno, _parse_number(value, lineno, key), value
 
 
-def _decimal_difference(lo_text: str, hi_text: str, lo: float, hi: float) -> float:
+def _decimal_difference(lo_text: str, hi_text: str) -> float:
     """hi - lo computed on the decimal strings, so that a boundary pair
     like (20.1234, 20.1407) yields exactly the double nearest to 0.0173,
-    matching formats that carry the duration directly."""
-    try:
-        return float(Decimal(hi_text) - Decimal(lo_text))
-    except InvalidOperation:
-        return hi - lo
+    matching formats that carry the duration directly.  Both strings have
+    passed `_parse_number`, and `Decimal` accepts every finite string that
+    `float` does."""
+    return float(Decimal(hi_text) - Decimal(lo_text))
 
 
 def parse_textgrid(text: str, utterance_id: str = ""):
@@ -330,7 +328,9 @@ def parse_textgrid(text: str, utterance_id: str = ""):
             lineno, line = scanner.expect("intervals [...] header")
             if not _ITEM_RE.match(line):
                 raise ParseError(f"expected interval header, got {line!r}", lineno)
-            _, ixmin, ixmin_text = _expect_number(scanner, "xmin")
+            xmin_line, ixmin, ixmin_text = _expect_number(scanner, "xmin")
+            if ixmin < 0.0:
+                raise ParseError(f"negative start time {ixmin_text}", xmin_line)
             ix_line, ixmax, ixmax_text = _expect_number(scanner, "xmax")
             lineno, text_v = _expect_kv(scanner, "text")
             label = _unquote(text_v, lineno).strip()
@@ -350,8 +350,7 @@ def parse_textgrid(text: str, utterance_id: str = ""):
                 utterance_id=utterance_id,
                 phone_label=label,
                 start=ixmin,
-                duration=_decimal_difference(ixmin_text, ixmax_text,
-                                             ixmin, ixmax),
+                duration=_decimal_difference(ixmin_text, ixmax_text),
             ))
         tiers.append((tier_name, intervals))
     trailing = scanner.next_content()
@@ -410,7 +409,7 @@ def parse_ctm(text: str) -> list[PhoneInterval]:
 # ---------------------------------------------------------------------------
 # Token extraction
 
-def speaker_rule(spec: str | None) -> Callable[[str], str | None] | None:
+def speaker_rule(spec: str | None) -> Callable[[str], str] | None:
     """Build a speaker-id rule from a CLI spec string.
 
     `fixed:<value>` assigns the same id to every token; `prefix:<delim>`
@@ -430,11 +429,7 @@ def speaker_rule(spec: str | None) -> Callable[[str], str | None] | None:
     raise ValueError(f"unknown speaker rule {kind!r}")
 
 
-def extract_vowel_tokens(
-    intervals,
-    phone_map: PhoneMap,
-    speaker: Callable[[str], str | None] | None = None,
-) -> list[VowelToken]:
+def extract_vowel_tokens(intervals, phone_map: PhoneMap) -> list[VowelToken]:
     """Map aligned phones to vowel tokens (durations in ms).
 
     Intervals whose label is not in the map are silently skipped; input
@@ -452,6 +447,5 @@ def extract_vowel_tokens(
             length_class=length,
             duration_ms=interval.duration * 1000.0,
             utterance_id=interval.utterance_id,
-            speaker_id=None if speaker is None else speaker(interval.utterance_id),
         ))
     return tokens

@@ -9,9 +9,9 @@ For k >= 1 the density has its mode at (k-1)*theta.
 
 Fitting is maximum likelihood: method-of-moments initialization followed
 by Newton iterations on log(k) against the profile log-likelihood, with
-theta = mean/k substituted at every step.  The special functions needed
-(log-gamma, digamma, trigamma, incomplete gamma) are computed locally
-so that results do not depend on the host SciPy version.
+theta = mean/k substituted at every step.  Log-gamma is the standard
+library's `math.lgamma`; digamma, trigamma and the incomplete gamma are
+computed locally, so that results do not depend on a SciPy install.
 """
 
 from __future__ import annotations
@@ -47,37 +47,11 @@ class NoInteriorModeError(ValueError):
     """Shape < 1: the density is unbounded at 0 and has no interior mode."""
 
 
-# Lanczos coefficients, g = 7, 9 terms (relative error < 1e-13 on the
-# positive real axis).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0, Lanczos approximation."""
+    """Natural log of Gamma(x) for x > 0 (`math.lgamma`)."""
     if x <= 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
@@ -134,7 +108,8 @@ def gamma_cdf(shape: float, x: float) -> float:
 
     Numerical Recipes `gammp`: a series for x < shape + 1, else 1 - Q by
     Lentz's continued fraction (its denominators stay >= 2 there).  Error
-    below 1e-13 for shapes up to 100, where log_gamma's error takes over.
+    below 1e-13 for shapes up to 100; beyond, the rounding of the prefactor's
+    exponent makes it grow with the shape.
     """
     if x == 0.0:
         return 0.0
@@ -178,24 +153,9 @@ class GammaFit:
                 f"scale={self.scale!r}"
             )
 
-    @property
-    def low_n(self) -> bool:
-        """True when the fit is based on fewer samples than trusted."""
-        return 0 < self.n_used < LOW_N_THRESHOLD
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.shape) * self.scale
-
 
 def _as_positive_array(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        x = x.ravel()
     if x.size and not np.all(x > 0.0):
         raise ValueError("gamma fitting requires strictly positive samples")
     return x

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -146,9 +147,19 @@ class AnalysisConfig:
         for fmt in self.output_formats:
             if fmt not in ("csv", "json", "markdown"):
                 raise ConfigError(f"unknown output format {fmt!r}")
+        outputs: dict[str, tuple[str, str]] = {}
         for a, b in self.comparisons:
             if a not in ids or b not in ids:
                 raise ConfigError(f"comparison ({a!r}, {b!r}) names unknown corpus")
+            name = f"ks_{a}_vs_{b}"
+            if name in outputs:
+                raise ConfigError(f"comparisons {outputs[name]!r} and "
+                                  f"{(a, b)!r} both write {name}.csv")
+            outputs[name] = (a, b)
+        try:
+            speaker_rule(self.speaker_from)
+        except ValueError as exc:
+            raise ConfigError(f"config key 'speaker_from': {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
@@ -399,7 +410,7 @@ def _read_alignment_text(path: Path) -> str:
     return path.read_text(encoding="utf-16" if utf16 else "utf-8-sig")
 
 
-def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap, speaker):
+def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap):
     tokens = []
     for path in _alignment_files(source):
         try:
@@ -416,7 +427,7 @@ def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap, speaker):
                     intervals.extend(tier_intervals)
         except ParseError as exc:
             raise CorpusLoadError(f"{path}: {exc}") from exc
-        tokens.extend(extract_vowel_tokens(intervals, phone_map, speaker))
+        tokens.extend(extract_vowel_tokens(intervals, phone_map))
     if not tokens:
         raise CorpusLoadError(
             f"corpus {source.corpus_id!r} contains no vowel tokens "
@@ -494,7 +505,7 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
     token_counts: dict[str, dict] = {}
 
     for source in config.corpora:
-        tokens = _load_corpus_tokens(source, phone_map, speaker)
+        tokens = _load_corpus_tokens(source, phone_map)
         # every output of the corpus reads this one (vowel, length) -> cell map
         cells = collect_cells(tokens, source.corpus_id)
         if config.outlier_filtering:
@@ -531,13 +542,10 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
                 indent=2, ensure_ascii=False, sort_keys=True) + "\n")
             result.output_paths.append(path)
 
-        per_speaker: dict[str, int] = {}
-        for tok in tokens:
-            if tok.speaker_id is not None:
-                per_speaker[tok.speaker_id] = per_speaker.get(tok.speaker_id, 0) + 1
         token_counts[source.corpus_id] = {
             "tokens": len(tokens),
-            "per_speaker": per_speaker or None,
+            "per_speaker": None if speaker is None else dict(
+                Counter(speaker(tok.utterance_id) for tok in tokens)),
         }
 
     for a, b in config.comparisons:

@@ -254,7 +254,6 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
                 length_class=cell.length_class,
                 duration_ms=units / 10.0,
                 utterance_id=utt_id,
-                speaker_id=None,
             ))
             cursor += units
             intervals.append((cursor, FILLER_UNITS, FILLER_LABEL))

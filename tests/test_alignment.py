@@ -80,6 +80,14 @@ def test_textgrid_xmax_before_xmin_names_line():
     assert "0.1" in text.splitlines()[err.value.line - 1]
 
 
+def test_textgrid_negative_start_names_line():
+    text = one_tier_textgrid([(-0.5, 0.07, "a"), (0.07, 1.0, "")])
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(text)
+    assert "negative start time -0.5" in str(err.value)
+    assert text.splitlines()[err.value.line - 1].strip() == "xmin = -0.5"
+
+
 def test_textgrid_rejects_bad_header():
     with pytest.raises(ParseError):
         parse_textgrid('File type = "something else"\n')
@@ -289,11 +297,6 @@ def test_speaker_rules():
         speaker_rule("bogus")
     with pytest.raises(ValueError):
         speaker_rule("prefix:")
-
-    pm = default_phone_map()
-    toks = extract_vowel_tokens([PhoneInterval("s1_u1", "a", 0.0, 0.1)],
-                                pm, speaker=prefix)
-    assert toks[0].speaker_id == "s1"
 
 
 def _token_multiset(tokens):

@@ -146,10 +146,10 @@ def test_histogram_matches_analytic_bin_probabilities():
 
 def test_collect_cells_groups_by_vowel_and_length():
     toks = [
-        VowelToken("a", "short", 70.0, "u1", None),
-        VowelToken("a", "long", 130.0, "u1", None),
-        VowelToken("a", "short", 75.0, "u2", None),
-        VowelToken("i", "short", 60.0, "u2", None),
+        VowelToken("a", "short", 70.0, "u1"),
+        VowelToken("a", "long", 130.0, "u1"),
+        VowelToken("a", "short", 75.0, "u2"),
+        VowelToken("i", "short", 60.0, "u2"),
     ]
     cells = collect_cells(toks, "c")
     assert set(cells) == {("a", "short"), ("a", "long"), ("i", "short")}

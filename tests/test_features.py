@@ -245,7 +245,7 @@ def test_time_unit_equivariance():
 
 
 def _tokens(vowel, length, durations):
-    return [VowelToken(vowel, length, d, f"u{i}", None)
+    return [VowelToken(vowel, length, d, f"u{i}")
             for i, d in enumerate(durations)]
 
 

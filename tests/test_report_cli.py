@@ -266,6 +266,149 @@ def test_missing_input_raises_corpus_error(tmp_path):
     assert "nope.ctm" in str(err.value)
 
 
+# One interval whose xmin (line 16) is negative.
+NEGATIVE_START_TEXTGRID = """File type = "ooTextFile"
+Object class = "TextGrid"
+
+xmin = 0
+xmax = 1.0
+tiers? <exists>
+size = 1
+item []:
+    item [1]:
+        class = "IntervalTier"
+        name = "phones"
+        xmin = 0
+        xmax = 1.0
+        intervals: size = 1
+        intervals [1]:
+            xmin = -1.0
+            xmax = 0.07
+            text = "a"
+"""
+
+
+def _run_one_corpus(root, paths, fmt="ctm", **config):
+    """Analyze corpus "c" of `paths` into `root`/out."""
+    return run_analysis(AnalysisConfig(
+        corpora=(CorpusSource("c", tuple(str(p) for p in paths), fmt),),
+        output_dir=str(root / "out"), **config))
+
+
+def test_malformed_alignment_file_names_path_and_line(tmp_path, capsys):
+    ctm = tmp_path / "broken.ctm"
+    ctm.write_text("u1 1 0.00 0.07 a\nu1 1 0.07 0.05\n", encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as err:
+        _run_one_corpus(tmp_path, [ctm])
+    assert "broken.ctm" in str(err.value) and "line 2" in str(err.value)
+
+    tg_dir = tmp_path / "tg"
+    tg_dir.mkdir()
+    (tg_dir / "neg.TextGrid").write_text(NEGATIVE_START_TEXTGRID,
+                                         encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as err:
+        _run_one_corpus(tmp_path, [tg_dir], fmt="textgrid")
+    assert "neg.TextGrid" in str(err.value)
+    assert "line 16: negative start time -1.0" in str(err.value)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"corpus_id": "c", "paths": [str(tg_dir)],
+                     "format": "textgrid"}],
+        "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 1
+    assert "neg.TextGrid" in capsys.readouterr().err
+
+
+def test_corpus_without_vowels_or_matching_files_is_a_corpus_error(tmp_path):
+    ctm = tmp_path / "consonants.ctm"
+    ctm.write_text(_ctm([("b", [50.0, 60.0]), ("sil", [100.0])]),
+                   encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as err:
+        _run_one_corpus(tmp_path, [ctm])
+    assert "contains no vowel tokens" in str(err.value)
+
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "notes.txt").write_text("u1 1 0.0 0.07 a\n", encoding="utf-8")
+    (other / "ctm").mkdir()
+    with pytest.raises(CorpusLoadError) as err:
+        _run_one_corpus(tmp_path, [other])
+    assert f"no ctm files under {other}" in str(err.value)
+
+
+def test_configured_phone_map_relabels_the_corpus(tmp_path):
+    spec = CorpusSpec("small", seed=8, cells=(
+        CellSpec("a", "short", 6.0, 11.5, 60),
+        CellSpec("a", "long", 7.0, 17.5, 40),
+    ), emit_formats=("ctm",))
+    text = generate_corpus(spec).files["small.ctm"]
+    relabel = {"a": "A1", "aa": "A2"}
+    relabeled = "".join(
+        " ".join(fields[:4] + [relabel.get(fields[4], fields[4])]) + "\n"
+        for fields in (line.split() for line in text.splitlines()))
+    assert relabeled != text
+    (tmp_path / "default.ctm").write_text(text, encoding="utf-8")
+    (tmp_path / "custom.ctm").write_text(relabeled, encoding="utf-8")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"phones": {
+        "A1": {"vowel": "a", "length": "short"},
+        "A2": {"vowel": "a", "length": "long"}}}), encoding="utf-8")
+
+    _run_one_corpus(tmp_path / "d", [tmp_path / "default.ctm"])
+    _run_one_corpus(tmp_path / "m", [tmp_path / "custom.ctm"],
+                    phone_map_path=str(map_path))
+    default_table = (tmp_path / "d" / "out" / "c" / "features.csv").read_bytes()
+    assert default_table.count(b"\n") == 2  # header + a
+    assert (tmp_path / "m" / "out" / "c" / "features.csv").read_bytes() \
+        == default_table
+
+    with pytest.raises(CorpusLoadError) as err:
+        _run_one_corpus(tmp_path, [tmp_path / "custom.ctm"],
+                        phone_map_path=str(tmp_path / "absent.json"))
+    assert "phone map not found" in str(err.value)
+    assert "absent.json" in str(err.value)
+
+
+def test_comparisons_must_write_distinct_ks_files(tmp_path, capsys):
+    corpora = tuple(CorpusSource(c, (f"{c}.ctm",), "ctm")
+                    for c in ("x_vs_y", "z", "x", "y_vs_z"))
+    clashes = ((("x_vs_y", "z"), ("x", "y_vs_z")),
+               (("x", "z"), ("x", "z")))
+    for first, second in clashes:
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig(corpora=corpora, output_dir="o",
+                           comparisons=(first, second))
+        assert repr(first) in str(err.value) and repr(second) in str(err.value)
+    assert len(AnalysisConfig(corpora=corpora, output_dir="o", comparisons=(
+        ("x", "z"), ("z", "x"), ("x_vs_y", "z"))).comparisons) == 3
+
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"corpus_id": c.corpus_id, "paths": list(c.paths),
+                     "format": "ctm"} for c in corpora],
+        "output_dir": str(tmp_path / "out"),
+        "comparisons": [["x_vs_y", "z"], ["x", "y_vs_z"]]}), encoding="utf-8")
+    assert cli_main(["compare", "--config", str(config_path)]) == 2
+    assert "ks_x_vs_y_vs_z" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_speaker_from_is_checked_with_the_config(tmp_path, capsys):
+    src = CorpusSource("c", ("x.ctm",), "ctm")
+    for bad in ("bogus", "prefix:"):
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig(corpora=(src,), output_dir="o", speaker_from=bad)
+        assert "speaker_from" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            AnalysisConfig.from_json(_config_json(speaker_from=bad))
+        assert "speaker_from" in str(err.value)
+    config_path = _small_ctm_config(tmp_path)
+    assert cli_main(["analyze", "--config", str(config_path),
+                     "--speaker-from", "prefix:"]) == 2
+    assert "speaker_from" in capsys.readouterr().err
+    assert not (tmp_path / "outx").exists()
+
+
 def test_vowel_level_failure_degrades_to_flagged_row(tmp_path):
     # one healthy /a/ pair plus a one-token /o/ long cell: the run succeeds
     spec = CorpusSpec("frag", seed=33, cells=(
