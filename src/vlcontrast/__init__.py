@@ -9,10 +9,12 @@ or CTM alignment files.
 __version__ = "0.1.0"
 
 from .alignment import (  # noqa: E402
+    IntervalTable,
     ParseError,
     PhoneInterval,
     PhoneMap,
     PhoneMapError,
+    TokenTable,
     VowelToken,
     default_phone_map,
     extract_vowel_tokens,
@@ -74,6 +76,7 @@ __all__ = [
     "DurationSampleSet",
     "GammaFit",
     "Histogram",
+    "IntervalTable",
     "NoInteriorModeError",
     "ParseError",
     "PhoneInterval",
@@ -81,6 +84,7 @@ __all__ = [
     "PhoneMapError",
     "RunResult",
     "TestResult",
+    "TokenTable",
     "VOWEL_ORDER",
     "VowelToken",
     "build_histogram",

@@ -5,6 +5,11 @@ Only the Praat "long" text format is accepted; the short variant is
 rejected with an explicit error.  Phone labels are compared after Unicode
 NFC normalization so that composed/decomposed encodings of labels like
 "ɛ" behave identically.
+
+Parsers return an `IntervalTable` and `extract_vowel_tokens` a
+`TokenTable`: numpy columns plus the distinct utterance ids and labels
+their codes index.  Indexing or iterating a table builds `PhoneInterval`
+/ `VowelToken` views one row at a time; the analysis reads the columns.
 """
 
 from __future__ import annotations
@@ -12,11 +17,17 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import re
 import unicodedata
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import chain, product
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -24,8 +35,11 @@ __all__ = [
     "PhoneInterval",
     "PhoneMap",
     "VowelToken",
+    "IntervalTable",
+    "TokenTable",
     "VOWEL_CLASSES",
     "CONTRASTED_VOWELS",
+    "CELLS",
     "parse_textgrid",
     "parse_ctm",
     "load_phone_map",
@@ -41,6 +55,9 @@ logger = logging.getLogger(__name__)
 CONTRASTED_VOWELS = ("i", "e", "ɛ", "a", "ɔ", "o", "u")
 VOWEL_CLASSES = CONTRASTED_VOWELS + ("ə",)
 LENGTH_CLASSES = ("short", "long")
+# Every (vowel, length) pair; a TokenTable's cell codes index this tuple.
+CELLS = tuple(product(VOWEL_CLASSES, LENGTH_CLASSES))
+_CELL_CODES = {cell: code for code, cell in enumerate(CELLS)}
 
 
 class ParseError(ValueError):
@@ -90,6 +107,144 @@ class VowelToken:
     def __post_init__(self) -> None:
         if self.duration_ms <= 0.0:
             raise ValueError(f"non-positive duration {self.duration_ms!r}")
+
+
+def _code(index: dict, values) -> np.ndarray:
+    """The code of each value in `index` (value -> code); a value not yet
+    there gets the next free code, so codes follow first appearance."""
+    for value in dict.fromkeys(values):
+        index.setdefault(value, len(index))
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+class _Table(Sequence):
+    """Rows held as numpy columns; a row object is built only when read."""
+
+    def __getitem__(self, index):
+        return self._row(operator.index(index))
+
+    def __eq__(self, other):
+        if isinstance(other, (_Table, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalTable(_Table):
+    """Aligned phones as columns: `utterance` and `label` are codes into the
+    distinct `utterance_ids` and NFC `labels`; `start` and `duration` are
+    float64 seconds.  Rows read as `PhoneInterval`s."""
+
+    utterance_ids: tuple[str, ...]
+    utterance: np.ndarray
+    labels: tuple[str, ...]
+    label: np.ndarray
+    start: np.ndarray
+    duration: np.ndarray
+
+    @classmethod
+    def from_codes(cls, utterance_ids, utterance, raw_labels, raw_label,
+                   start, duration) -> "IntervalTable":
+        """Table of utterance and raw-label codes into the distinct
+        `utterance_ids` and `raw_labels`; each raw label is NFC-normalized
+        once, and raw labels that normalize alike share a code."""
+        labels: dict[str, int] = {}
+        label = _code(labels, [_nfc(raw) for raw in raw_labels])
+        return cls(tuple(utterance_ids), utterance, tuple(labels),
+                   label[raw_label], np.asarray(start, dtype=np.float64),
+                   np.asarray(duration, dtype=np.float64))
+
+    @classmethod
+    def from_columns(cls, utterance_ids, labels, start, duration) -> "IntervalTable":
+        """Table of per-row utterance ids and raw labels."""
+        utterances: dict[str, int] = {}
+        raw_labels: dict[str, int] = {}
+        utterance = _code(utterances, utterance_ids)
+        raw_label = _code(raw_labels, labels)
+        return cls.from_codes(utterances, utterance, raw_labels, raw_label,
+                              start, duration)
+
+    @classmethod
+    def of(cls, intervals) -> "IntervalTable":
+        """`intervals` itself if it is a table, else a table of its rows."""
+        if isinstance(intervals, IntervalTable):
+            return intervals
+        rows = list(intervals)
+        return cls.from_columns([iv.utterance_id for iv in rows],
+                                [iv.phone_label for iv in rows],
+                                [iv.start for iv in rows],
+                                [iv.duration for iv in rows])
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    def _row(self, i: int) -> PhoneInterval:
+        return PhoneInterval(self.utterance_ids[self.utterance[i]],
+                             self.labels[self.label[i]],
+                             float(self.start[i]), float(self.duration[i]))
+
+    def label_counts(self) -> dict[str, int]:
+        """Intervals per label."""
+        counts = np.bincount(self.label, minlength=len(self.labels))
+        return dict(zip(self.labels, counts.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class TokenTable(_Table):
+    """Vowel tokens as columns: `cell` codes index `CELLS`, `duration_ms`
+    is float64 and `utterance` codes index `utterance_ids`.  Rows read as
+    `VowelToken`s."""
+
+    cell: np.ndarray
+    duration_ms: np.ndarray
+    utterance_ids: tuple[str, ...]
+    utterance: np.ndarray
+
+    @classmethod
+    def of(cls, tokens) -> "TokenTable":
+        """`tokens` itself if it is a table, else a table of its rows."""
+        if isinstance(tokens, TokenTable):
+            return tokens
+        rows = list(tokens)
+        try:
+            cell = [_CELL_CODES[(tok.vowel_class, tok.length_class)] for tok in rows]
+        except KeyError as exc:
+            raise ValueError(f"unknown (vowel, length) cell {exc.args[0]!r}") from None
+        utterance_ids: dict[str, int] = {}
+        utterance = _code(utterance_ids, [tok.utterance_id for tok in rows])
+        return cls(np.array(cell, dtype=np.intp),
+                   np.array([tok.duration_ms for tok in rows], dtype=np.float64),
+                   tuple(utterance_ids), utterance)
+
+    @classmethod
+    def concat(cls, tables) -> "TokenTable":
+        """The tables' rows one table after another."""
+        offsets = np.cumsum([0] + [len(t.utterance_ids) for t in tables])
+        return cls(
+            np.concatenate([np.empty(0, np.intp)] + [t.cell for t in tables]),
+            np.concatenate([np.empty(0)] + [t.duration_ms for t in tables]),
+            tuple(chain.from_iterable(t.utterance_ids for t in tables)),
+            np.concatenate([np.empty(0, np.intp)] + [
+                t.utterance + offset for t, offset in zip(tables, offsets)]))
+
+    def __len__(self) -> int:
+        return len(self.duration_ms)
+
+    def _row(self, i: int) -> VowelToken:
+        vowel, length = CELLS[self.cell[i]]
+        return VowelToken(vowel, length, float(self.duration_ms[i]),
+                          self.utterance_ids[self.utterance[i]])
+
+    def utterance_counts(self) -> Counter:
+        """Tokens per utterance id; utterances without tokens are left out."""
+        counts = Counter()
+        per_code = np.bincount(self.utterance, minlength=len(self.utterance_ids))
+        for utterance_id, n in zip(self.utterance_ids, per_code.tolist()):
+            if n:
+                counts[utterance_id] += n
+        return counts
 
 
 class PhoneMap:
@@ -261,7 +416,7 @@ def _decimal_difference(lo_text: str, hi_text: str) -> float:
 def parse_textgrid(text: str, utterance_id: str = ""):
     """Parse a Praat long-format TextGrid.
 
-    Returns a list of (tier_name, [PhoneInterval]) pairs, one per
+    Returns a list of (tier_name, IntervalTable) pairs, one per
     IntervalTier, intervals in file order with start/duration in seconds.
     Empty-label intervals are dropped; point tiers are skipped with a
     warning.  Raises ParseError (with line number) on malformed input.
@@ -322,7 +477,9 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         if tier_class != "IntervalTier":
             raise ParseError(f"unknown tier class {tier_class!r}", lineno)
 
-        intervals: list[PhoneInterval] = []
+        labels: list[str] = []
+        starts: list[float] = []
+        durations: list[float] = []
         prev_end = None
         for _ in range(count):
             lineno, line = scanner.expect("intervals [...] header")
@@ -346,13 +503,11 @@ def parse_textgrid(text: str, utterance_id: str = ""):
             if ixmax == ixmin:
                 raise ParseError(
                     f"zero-length interval with label {label!r}", ix_line)
-            intervals.append(PhoneInterval(
-                utterance_id=utterance_id,
-                phone_label=label,
-                start=ixmin,
-                duration=_decimal_difference(ixmin_text, ixmax_text),
-            ))
-        tiers.append((tier_name, intervals))
+            labels.append(label)
+            starts.append(ixmin)
+            durations.append(_decimal_difference(ixmin_text, ixmax_text))
+        tiers.append((tier_name, IntervalTable.from_columns(
+            [utterance_id] * len(labels), labels, starts, durations)))
     trailing = scanner.next_content()
     if trailing is not None:
         raise ParseError(
@@ -365,14 +520,77 @@ def parse_textgrid(text: str, utterance_id: str = ""):
 # ---------------------------------------------------------------------------
 # CTM
 
-def parse_ctm(text: str) -> list[PhoneInterval]:
-    """Parse CTM lines `utt_id channel start_s dur_s phone_label`.
+# UTF-16 code units that keep a CTM off the column path: whitespace other
+# than " " and "\n" as str.split() and str.splitlines() see it (none lies
+# outside the BMP), and surrogates, whose two units to a character would
+# shift the line offsets off the string's indices.
+_NOT_PLAIN = np.array([chr(c).isspace() and c not in (10, 32) or 0xD800 <= c < 0xE000
+                       for c in range(0x10000)])
+_NEWLINE, _SPACE, _HASH = 10, 32, 35
 
-    `#`-prefixed comment lines and blank lines are allowed.  Output is
-    grouped per utterance (in order of first appearance) and sorted by
-    start within each utterance.
-    """
-    per_utt: dict[str, list[tuple[float, int, PhoneInterval]]] = {}
+
+# Characters per slice of a CTM read by the column path; bounds the memory
+# that split fields take at once.
+_CHUNK_CHARS = 1 << 18
+
+
+def _line_chunks(text: str):
+    """`text` in slices of about `_CHUNK_CHARS` characters, each ending
+    after a "\n" or at the end of `text`."""
+    pos = 0
+    while True:
+        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+        if pos >= len(text):
+            return
+
+
+def _plain_ctm_fields(text: str) -> list[str] | None:
+    """The fields of the content lines, when every line ends in "\n" (the
+    last may not), is blank or a comment starting with "#" or five fields
+    split by single spaces, and no other whitespace or character outside
+    the BMP occurs.  None for any other text, which `_ctm_line_loop` reads
+    instead."""
+    comments = _plain_ctm_comments(text + "\n" * (not text.endswith("\n")))
+    if comments is None:
+        return None
+    if not comments:
+        return text.split()
+    # the text between comment lines: [0, start1), [end1, start2), ...
+    cuts = chain([0], *comments, [len(text)])
+    return list(chain.from_iterable(
+        text[a:b].split() for a, b in zip(cuts, cuts)))
+
+
+def _plain_ctm_comments(text: str) -> list[tuple[int, int]] | None:
+    """The (start, end) of each comment line of a plain CTM `text` that
+    ends in "\n" (see `_plain_ctm_fields`), or None if it is not plain."""
+    units = np.frombuffer(text.encode("utf-16-le", "surrogatepass"), np.uint16)
+    if _NOT_PLAIN[units].any():
+        return None
+    ends = np.flatnonzero(units == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    comment = units[starts] == _HASH
+    spaces = np.flatnonzero(units == _SPACE)
+    line = np.searchsorted(ends, spaces)
+    content = ~comment[line]
+    spaces, line = spaces[content], line[content]
+    # each space of a content line sits between two field characters
+    around = np.concatenate((units[spaces - 1], units[spaces + 1]))
+    if ((around == _SPACE) | (around == _NEWLINE)).any():
+        return None
+    fields_short = np.bincount(line, minlength=ends.size) != 4
+    if (fields_short & ~comment & (starts < ends)).any():
+        return None
+    return list(zip(starts[comment].tolist(), (ends[comment] + 1).tolist()))
+
+
+def _ctm_line_loop(text: str) -> list[str]:
+    """The fields of the content lines, checked one line at a time, so that
+    a ParseError names the first bad line."""
+    fields: list[str] = []
+    per_utt: dict[str, list[tuple[float, float, int]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -382,28 +600,88 @@ def parse_ctm(text: str) -> list[PhoneInterval]:
             raise ParseError(
                 f"expected 5 fields (utt channel start dur phone), "
                 f"got {len(parts)}", lineno)
-        utt, _channel, start_s, dur_s, label = parts
+        utt, _channel, start_s, dur_s, _label = parts
         start = _parse_number(start_s, lineno, "start time")
         dur = _parse_number(dur_s, lineno, "duration")
         if dur <= 0.0:
             raise ParseError(f"non-positive duration {dur_s}", lineno)
         if start < 0.0:
             raise ParseError(f"negative start time {start_s}", lineno)
-        interval = PhoneInterval(utterance_id=utt, phone_label=label,
-                                 start=start, duration=dur)
-        per_utt.setdefault(utt, []).append((start, lineno, interval))
+        per_utt.setdefault(utt, []).append((start, dur, lineno))
+        fields += parts
 
-    result: list[PhoneInterval] = []
     for utt, items in per_utt.items():
         items.sort(key=lambda t: t[0])
         prev_end = None
-        for start, lineno, interval in items:
+        for start, dur, lineno in items:
             if prev_end is not None and start < prev_end - 1e-9:
                 raise ParseError(
                     f"overlapping intervals in utterance {utt!r}", lineno)
-            prev_end = start + interval.duration
-            result.append(interval)
-    return result
+            prev_end = start + dur
+    return fields
+
+
+def _ctm_columns(fields: list[str], utterances: dict, raw_labels: dict):
+    """(utterance code, raw label code, start, duration) columns of the
+    5-field rows in `fields`, coded into `utterances` and `raw_labels`.
+    Raises ValueError on a time that `float` does not read."""
+    n = len(fields) // 5
+    return (_code(utterances, fields[0::5]), _code(raw_labels, fields[4::5]),
+            np.fromiter(map(float, fields[2::5]), np.float64, n),
+            np.fromiter(map(float, fields[3::5]), np.float64, n))
+
+
+def _ctm_table(text: str) -> IntervalTable | None:
+    """The intervals of a CTM, grouped per utterance and sorted by start as
+    `_ctm_line_loop` orders them; None when a value fails a check.  A CTM
+    that is not plain goes through `_ctm_line_loop`, whose ParseError
+    propagates."""
+    utterances: dict[str, int] = {}
+    raw_labels: dict[str, int] = {}
+    parts = []
+    try:
+        for chunk in _line_chunks(text):
+            fields = _plain_ctm_fields(chunk)
+            if fields is None:
+                utterances.clear()
+                raw_labels.clear()
+                parts = [_ctm_columns(_ctm_line_loop(text), utterances, raw_labels)]
+                break
+            parts.append(_ctm_columns(fields, utterances, raw_labels))
+    except ValueError:
+        return None
+    utterance, raw_label, start, duration = map(np.concatenate, zip(*parts))
+    if not (np.isfinite(start).all() and np.isfinite(duration).all()
+            and (duration > 0.0).all() and (start >= 0.0).all()):
+        return None
+    step, rise = np.diff(utterance), np.diff(start)
+    if ((step < 0) | ((step == 0) & (rise < 0))).any():
+        # a stable sort: equal starts keep their line order
+        order = np.lexsort((start, utterance))
+        utterance, raw_label, start, duration = (
+            column[order] for column in (utterance, raw_label, start, duration))
+    table = IntervalTable.from_codes(utterances, utterance, raw_labels,
+                                     raw_label, start, duration)
+    end = table.start + table.duration
+    overlap = ((table.utterance[1:] == table.utterance[:-1])
+               & (table.start[1:] < end[:-1] - 1e-9))
+    return None if overlap.any() else table
+
+
+def parse_ctm(text: str) -> IntervalTable:
+    """Parse CTM lines `utt_id channel start_s dur_s phone_label`.
+
+    `#`-prefixed comment lines and blank lines are allowed.  Output is
+    grouped per utterance (in order of first appearance) and sorted by
+    start within each utterance.  Plain files are split and checked as
+    whole columns; any other file, and any file that fails a check, is
+    read line by line, so that a ParseError names the first bad line.
+    """
+    table = _ctm_table(text)
+    if table is None:
+        _ctm_line_loop(text)
+        raise AssertionError("the column checks rejected a CTM the line loop accepts")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +699,8 @@ def speaker_rule(spec: str | None) -> Callable[[str], str] | None:
     if not sep:
         raise ValueError(f"speaker rule must be 'fixed:<id>' or 'prefix:<delim>', got {spec!r}")
     if kind == "fixed":
+        if not arg:
+            raise ValueError("fixed speaker rule needs a speaker id")
         return lambda _utt: arg
     if kind == "prefix":
         if not arg:
@@ -429,23 +709,18 @@ def speaker_rule(spec: str | None) -> Callable[[str], str] | None:
     raise ValueError(f"unknown speaker rule {kind!r}")
 
 
-def extract_vowel_tokens(intervals, phone_map: PhoneMap) -> list[VowelToken]:
-    """Map aligned phones to vowel tokens (durations in ms).
+def extract_vowel_tokens(intervals, phone_map: PhoneMap) -> TokenTable:
+    """Map aligned phones (a table or a sequence of `PhoneInterval`s) to
+    vowel tokens (durations in ms).
 
     Intervals whose label is not in the map are silently skipped; input
     order is preserved.
     """
+    table = IntervalTable.of(intervals)
     entries = phone_map.entries  # labels are NFC on both sides
-    tokens: list[VowelToken] = []
-    for interval in intervals:
-        cell = entries.get(interval.phone_label)
-        if cell is None:
-            continue
-        vowel, length = cell
-        tokens.append(VowelToken(
-            vowel_class=vowel,
-            length_class=length,
-            duration_ms=interval.duration * 1000.0,
-            utterance_id=interval.utterance_id,
-        ))
-    return tokens
+    cell_of_label = np.array([_CELL_CODES.get(entries.get(label), -1)
+                              for label in table.labels], dtype=np.intp)
+    cell = cell_of_label[table.label]
+    vowels = np.flatnonzero(cell >= 0)
+    return TokenTable(cell[vowels], table.duration[vowels] * 1000.0,
+                      table.utterance_ids, table.utterance[vowels])

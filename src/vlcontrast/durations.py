@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .alignment import CELLS, TokenTable
+
 __all__ = [
     "DurationSampleSet",
     "Histogram",
@@ -108,16 +110,23 @@ def build_histogram(cell: DurationSampleSet, bin_width_ms: float = 10.0) -> Hist
 
 
 def collect_cells(tokens, corpus_id: str):
-    """Group vowel tokens into (vowel, length) -> DurationSampleSet of
-    the corpus `corpus_id`."""
-    grouped: dict[tuple[str, str], list[float]] = {}
-    for tok in tokens:
-        grouped.setdefault((tok.vowel_class, tok.length_class), []).append(
-            tok.duration_ms)
-    return {
-        key: DurationSampleSet(key[0], key[1], corpus_id, durs)
-        for key, durs in grouped.items()
-    }
+    """Group vowel tokens (a TokenTable or a sequence of `VowelToken`s) into
+    (vowel, length) -> DurationSampleSet of the corpus `corpus_id`.
+
+    Cells come in the order of their first token and keep their tokens'
+    order: each is a slice of the duration column sorted stably by cell.
+    """
+    tokens = TokenTable.of(tokens)
+    codes, first, counts = np.unique(tokens.cell, return_index=True,
+                                     return_counts=True)
+    durations = tokens.duration_ms[np.argsort(tokens.cell, kind="stable")]
+    ends = np.cumsum(counts)
+    cells = {}
+    for i in np.argsort(first):
+        key = CELLS[codes[i]]
+        cells[key] = DurationSampleSet(key[0], key[1], corpus_id,
+                                       durations[ends[i] - counts[i]:ends[i]])
+    return cells
 
 
 def pooled_samples(cells, vowel_class: str,

@@ -25,6 +25,7 @@ from . import __version__
 from .alignment import (
     ParseError,
     PhoneMap,
+    TokenTable,
     default_phone_map,
     extract_vowel_tokens,
     load_phone_map,
@@ -410,29 +411,56 @@ def _read_alignment_text(path: Path) -> str:
     return path.read_text(encoding="utf-16" if utf16 else "utf-8-sig")
 
 
-def _load_corpus_tokens(source: CorpusSource, phone_map: PhoneMap):
-    tokens = []
-    for path in _alignment_files(source):
+# How many of a corpus's most frequent unmapped labels run_metadata.json lists.
+UNMAPPED_LABELS_LISTED = 20
+
+
+def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
+    """The corpus's vowel tokens as one TokenTable, and its counters for
+    run_metadata.json (`per_speaker` is None without a speaker rule)."""
+    entries = phone_map.entries
+    files = _alignment_files(source)
+    tables = []
+    intervals_parsed = 0
+    unmapped: Counter = Counter()
+    for path in files:
         try:
             text = _read_alignment_text(path)
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusLoadError(f"cannot read {path}: {exc}") from exc
         try:
             if source.format == "ctm":
-                intervals = parse_ctm(text)
+                tiers = [parse_ctm(text)]
             else:
-                intervals = []
-                for _tier, tier_intervals in parse_textgrid(
-                        text, utterance_id=path.stem):
-                    intervals.extend(tier_intervals)
+                tiers = [intervals for _tier, intervals in parse_textgrid(
+                    text, utterance_id=path.stem)]
         except ParseError as exc:
             raise CorpusLoadError(f"{path}: {exc}") from exc
-        tokens.extend(extract_vowel_tokens(intervals, phone_map))
+        for intervals in tiers:
+            intervals_parsed += len(intervals)
+            unmapped.update({label: n for label, n in intervals.label_counts().items()
+                             if label not in entries})
+            tables.append(extract_vowel_tokens(intervals, phone_map))
+    tokens = TokenTable.concat(tables)
     if not tokens:
         raise CorpusLoadError(
             f"corpus {source.corpus_id!r} contains no vowel tokens "
             f"(checked {source.paths})")
-    return tokens
+    ranked = sorted(unmapped.items(), key=lambda item: (-item[1], item[0]))
+    per_speaker = None
+    if speaker is not None:
+        per_speaker = Counter()
+        for utterance_id, n in tokens.utterance_counts().items():
+            per_speaker[speaker(utterance_id)] += n
+    counts = {
+        "files": len(files),
+        "intervals": intervals_parsed,
+        "tokens": len(tokens),
+        "unmapped_labels": [{"label": label, "count": n}
+                            for label, n in ranked[:UNMAPPED_LABELS_LISTED]],
+        "per_speaker": None if per_speaker is None else dict(per_speaker),
+    }
+    return tokens, counts
 
 
 def _corpus_reports(cells, corpus_id: str) -> list[ContrastReport]:
@@ -502,10 +530,11 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
     out_root = Path(config.output_dir)
     result = RunResult()
     corpus_cells: dict[str, dict] = {}
-    token_counts: dict[str, dict] = {}
+    corpus_counts: dict[str, dict] = {}
 
     for source in config.corpora:
-        tokens = _load_corpus_tokens(source, phone_map)
+        tokens, corpus_counts[source.corpus_id] = _load_corpus(
+            source, phone_map, speaker)
         # every output of the corpus reads this one (vowel, length) -> cell map
         cells = collect_cells(tokens, source.corpus_id)
         if config.outlier_filtering:
@@ -542,12 +571,6 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
                 indent=2, ensure_ascii=False, sort_keys=True) + "\n")
             result.output_paths.append(path)
 
-        token_counts[source.corpus_id] = {
-            "tokens": len(tokens),
-            "per_speaker": None if speaker is None else dict(
-                Counter(speaker(tok.utterance_id) for tok in tokens)),
-        }
-
     for a, b in config.comparisons:
         rows = _comparison_rows(corpus_cells[a], corpus_cells[b])
         result.comparisons[(a, b)] = rows
@@ -578,7 +601,7 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
             "speaker_from": config.speaker_from,
             "ks_on_filtered_durations": config.outlier_filtering,
         },
-        "corpora": token_counts,
+        "corpora": corpus_counts,
     }
     path = out_root / "run_metadata.json"
     write_atomic(path, json.dumps(metadata, indent=2, ensure_ascii=False,

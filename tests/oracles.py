@@ -5,7 +5,9 @@ paths: areas come from dense trapezoid sums or scipy's adaptive
 quadrature over scipy densities, KS
 statistics from naive counting at every pooled threshold, and the dip
 from a direct linear-program realization of its definition (nearest
-unimodal CDF in sup norm, exhaustive over modal positions).
+unimodal CDF in sup norm, exhaustive over modal positions).  CTM files
+are read by a line-at-a-time parser that builds one `PhoneInterval` per
+line.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.stats import gamma as scipy_gamma
+
+from vlcontrast.alignment import ParseError, PhoneInterval
 
 
 def gamma_pdf_ref(shape: float, scale: float, x):
@@ -146,3 +150,47 @@ def dip_exhaustive(values) -> float:
         assert res.status == 0, res.message
         best = min(best, res.fun)
     return float(best)
+
+
+def ctm_line_parser(text: str) -> list[PhoneInterval]:
+    """CTM intervals read one line at a time: comment (`#`) and blank lines
+    skipped, grouped per utterance in order of first appearance, sorted
+    stably by start within it.  Raises ParseError naming the first bad
+    line, checking every line before any overlap."""
+    per_utt: dict[str, list[tuple[float, int, PhoneInterval]]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise ParseError(
+                f"expected 5 fields (utt channel start dur phone), "
+                f"got {len(parts)}", lineno)
+        utt, _channel, start_s, dur_s, label = parts
+        values = []
+        for text_value, what in ((start_s, "start time"), (dur_s, "duration")):
+            try:
+                value = float(text_value)
+            except ValueError:
+                raise ParseError(f"non-numeric {what}: {text_value!r}", lineno) from None
+            if not np.isfinite(value):
+                raise ParseError(f"non-finite {what}: {text_value!r}", lineno)
+            values.append(value)
+        start, dur = values
+        if dur <= 0.0:
+            raise ParseError(f"non-positive duration {dur_s}", lineno)
+        if start < 0.0:
+            raise ParseError(f"negative start time {start_s}", lineno)
+        per_utt.setdefault(utt, []).append(
+            (start, lineno, PhoneInterval(utt, label, start, dur)))
+    result = []
+    for utt, items in per_utt.items():
+        items.sort(key=lambda t: t[0])
+        prev_end = None
+        for start, lineno, interval in items:
+            if prev_end is not None and start < prev_end - 1e-9:
+                raise ParseError(f"overlapping intervals in utterance {utt!r}", lineno)
+            prev_end = start + interval.duration
+            result.append(interval)
+    return result

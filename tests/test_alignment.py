@@ -297,6 +297,8 @@ def test_speaker_rules():
         speaker_rule("bogus")
     with pytest.raises(ValueError):
         speaker_rule("prefix:")
+    with pytest.raises(ValueError):
+        speaker_rule("fixed:")
 
 
 def _token_multiset(tokens):

@@ -87,8 +87,14 @@ def test_mimic_output_files(mimic_run):
     assert meta["tool"] == "vlcontrast"
     assert meta["options"]["bin_width_ms"] == 10.0
     assert meta["options"]["ks_on_filtered_durations"] is True
-    assert meta["corpora"]["read-mimic"]["tokens"] == sum(
-        c.count for c in READ_SPEECH_CELLS)
+    counts = meta["corpora"]["read-mimic"]
+    assert counts["tokens"] == sum(c.count for c in READ_SPEECH_CELLS)
+    # one "sil" filler before every token and after each utterance's last
+    n_utterances = math.ceil(counts["tokens"] / 12)
+    assert counts["files"] == 1
+    assert counts["intervals"] == 2 * counts["tokens"] + n_utterances
+    assert counts["unmapped_labels"] == [
+        {"label": "sil", "count": counts["tokens"] + n_utterances}]
     assert "config_sha256" in meta
 
 
@@ -395,7 +401,7 @@ def test_comparisons_must_write_distinct_ks_files(tmp_path, capsys):
 
 def test_speaker_from_is_checked_with_the_config(tmp_path, capsys):
     src = CorpusSource("c", ("x.ctm",), "ctm")
-    for bad in ("bogus", "prefix:"):
+    for bad in ("bogus", "prefix:", "fixed:"):
         with pytest.raises(ConfigError) as err:
             AnalysisConfig(corpora=(src,), output_dir="o", speaker_from=bad)
         assert "speaker_from" in str(err.value)
@@ -829,3 +835,74 @@ def test_unfiltered_cell_table_feeds_every_output(tmp_path, monkeypatch):
     assert dip_n == 41 + 30
     assert n_a == {"short": 41, "long": 30, "pooled": 71}
     assert calls == []
+
+
+def test_run_metadata_counts_input_files_intervals_and_unmapped_labels(tmp_path):
+    # unmapped: "c00" x1 ... "c24" x25, "z" and "y" tied at 30, and "é"
+    # 13 times composed and 13 times decomposed
+    lines = ["u0 1 0.0 0.07 a", "u0 1 0.1 0.13 aa"]
+    for i in range(25):
+        lines += [f"v{i} 1 {j}.0 0.05 c{i:02d}" for j in range(i + 1)]
+    lines += [f"w 1 {j}.0 0.05 {label}" for j, label in enumerate(
+        ["z"] * 30 + ["y"] * 30 + ["\u00e9", "e\u0301"] * 13)]
+    (tmp_path / "a.ctm").write_text("\n".join(lines[:40]) + "\n", encoding="utf-8")
+    (tmp_path / "b.ctm").write_text("\n".join(lines[40:]) + "\n", encoding="utf-8")
+    run_analysis(AnalysisConfig(
+        corpora=(CorpusSource("c", (str(tmp_path),), "ctm"),),
+        output_dir=str(tmp_path / "out")))
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text(
+        encoding="utf-8"))["corpora"]["c"]
+    assert (meta["files"], meta["intervals"], meta["tokens"]) == (2, len(lines), 2)
+    assert meta["unmapped_labels"] == (
+        [{"label": "y", "count": 30}, {"label": "z", "count": 30},
+         {"label": "\u00e9", "count": 26}]
+        + [{"label": f"c{i:02d}", "count": i + 1} for i in range(24, 7, -1)])
+
+
+def test_per_speaker_counts_speakers_of_vowel_tokens_only(tmp_path):
+    from collections import Counter
+
+    from vlcontrast.alignment import (default_phone_map, extract_vowel_tokens,
+                                      parse_ctm, speaker_rule)
+
+    rows = [("s1-u1", "a"), ("s1-u1", "sil"), ("s1-u2", "aa"), ("s2-u1", "a"),
+            ("s2-u1", "ɛɛ"), ("s3-u1", "sil"), ("s3-u1", "b"), ("s1-u1", "a")]
+    text = "".join(f"{utt} 1 {i * 0.1:.1f} 0.07 {label}\n"
+                   for i, (utt, label) in enumerate(rows))
+    (tmp_path / "one.ctm").write_text(text, encoding="utf-8")
+    # the same utterance id in a second file adds to the same speaker
+    (tmp_path / "two.ctm").write_text("s2-u1 1 0.0 0.09 u\n", encoding="utf-8")
+    config = AnalysisConfig(corpora=(CorpusSource("c", (str(tmp_path),), "ctm"),),
+                            output_dir=str(tmp_path / "out"), speaker_from="prefix:-")
+    run_analysis(config)
+    meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text(
+        encoding="utf-8"))["corpora"]["c"]
+    assert meta["per_speaker"] == {"s1": 3, "s2": 3}  # s3 has no vowel token
+    speaker = speaker_rule("prefix:-")
+    tokens = [tok for name in ("one.ctm", "two.ctm") for tok in extract_vowel_tokens(
+        parse_ctm((tmp_path / name).read_text(encoding="utf-8")), default_phone_map())]
+    assert meta["per_speaker"] == dict(Counter(speaker(tok.utterance_id) for tok in tokens))
+
+
+def test_run_builds_no_per_phone_objects(tmp_path, monkeypatch):
+    from vlcontrast.alignment import PhoneInterval, VowelToken
+
+    ctm = _small_ctm_config(tmp_path)
+    config = json.loads(ctm.read_text(encoding="utf-8"))
+    crlf = tmp_path / "crlf.ctm"  # not plain: read by the line loop
+    crlf.write_bytes((tmp_path / "small.ctm").read_bytes().replace(b"\n", b"\r\n"))
+    _, tg_dir = _write_two_corpora(tmp_path)
+
+    def refuse(self):
+        raise AssertionError(f"built {type(self).__name__} on the run path")
+
+    monkeypatch.setattr(PhoneInterval, "__post_init__", refuse)
+    monkeypatch.setattr(VowelToken, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        VowelToken("a", "short", 70.0, "u1")
+    result = run_analysis(AnalysisConfig(
+        corpora=(CorpusSource("c", tuple(config["corpora"][0]["paths"]), "ctm"),
+                 CorpusSource("crlf", (str(crlf),), "ctm"),
+                 CorpusSource("tg", (str(tg_dir),), "textgrid")),
+        output_dir=str(tmp_path / "out"), speaker_from="prefix:-"))
+    assert set(result.reports) == {"c", "crlf", "tg"}
