@@ -44,6 +44,8 @@ class DurationSampleSet:
         samples = np.array(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("durations must be a 1-d sequence")
+        if not np.isfinite(samples).all():
+            raise ValueError("durations must be finite, got NaN or infinity")
         if np.any(samples <= 0.0):
             raise ValueError("durations must be strictly positive")
         samples.flags.writeable = False

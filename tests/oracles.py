@@ -5,7 +5,9 @@ paths: areas come from dense trapezoid sums or scipy's adaptive
 quadrature over scipy densities, KS
 statistics from naive counting at every pooled threshold, and the dip
 from a direct linear-program realization of its definition (nearest
-unimodal CDF in sup norm, exhaustive over modal positions).  CTM files
+unimodal CDF in sup norm, exhaustive over modal positions).
+`dip_pointwise` is AS 217 run one sorted point at a time, which the
+package's tie-run dip must equal bit for bit.  CTM files
 are read by a line-at-a-time parser that builds one `PhoneInterval` per
 line.
 """
@@ -150,6 +152,148 @@ def dip_exhaustive(values) -> float:
         assert res.status == 0, res.message
         best = min(best, res.fun)
     return float(best)
+
+
+def dip_pointwise(values) -> float:
+    """Hartigan-Hartigan dip of a 1-d sample (n >= 4), one point at a time.
+
+    Returns the sup-norm distance from the empirical CDF to the nearest
+    unimodal CDF.  At least 1/(2n) for samples with distinct extremes;
+    0.0 for an all-equal sample (a point mass is itself unimodal).
+    """
+    xs = np.sort(np.asarray(values, dtype=float))
+    n = xs.size
+    if n < 4:
+        raise ValueError(f"dip requires at least 4 observations, got {n}")
+    if xs[0] == xs[-1]:
+        return 0.0
+
+    # Predecessor indices for the greatest convex minorant fit: mn[j] is the
+    # previous touch point when walking the GCM down from j.
+    mn = np.zeros(n, dtype=np.intp)
+    for j in range(1, n):
+        mn[j] = j - 1
+        while True:
+            mnj = mn[j]
+            if mnj == 0:
+                break
+            mnmnj = mn[mnj]
+            if (xs[j] - xs[mnj]) * (mnj - mnmnj) < (xs[mnj] - xs[mnmnj]) * (j - mnj):
+                break
+            mn[j] = mnmnj
+
+    # Successor indices for the least concave majorant fit.
+    mj = np.zeros(n, dtype=np.intp)
+    mj[n - 1] = n - 1
+    for j in range(n - 2, -1, -1):
+        mj[j] = j + 1
+        while True:
+            mjj = mj[j]
+            if mjj == n - 1:
+                break
+            mjmjj = mj[mjj]
+            if (xs[j] - xs[mjj]) * (mjj - mjmjj) < (xs[mjj] - xs[mjmjj]) * (j - mjj):
+                break
+            mj[j] = mjmjj
+
+    gcm = np.zeros(n + 1, dtype=np.intp)
+    lcm = np.zeros(n + 1, dtype=np.intp)
+    low, high = 0, n - 1
+    # 2n*dip is at least 1 for non-degenerate samples.
+    best = 1.0
+
+    while True:
+        # GCM touch points from high down to low (decreasing indices).
+        gcm[0] = high
+        i = 0
+        while gcm[i] > low:
+            gcm[i + 1] = mn[gcm[i]]
+            i += 1
+        ig = l_gcm = i
+        ix = i - 1
+        # LCM touch points from low up to high.
+        lcm[0] = low
+        i = 0
+        while lcm[i] < high:
+            lcm[i + 1] = mj[lcm[i]]
+            i += 1
+        ih = l_lcm = i
+        iv = 1
+
+        # Largest distance between the two fits over [low, high], in counts.
+        d = 0.0
+        if l_gcm != 1 or l_lcm != 1:
+            while True:
+                gcmix = gcm[ix]
+                lcmiv = lcm[iv]
+                if gcmix > lcmiv:
+                    # LCM point below a GCM chord segment.
+                    gcmi1 = gcm[ix + 1]
+                    dx = (lcmiv - gcmi1 + 1) - (xs[lcmiv] - xs[gcmi1]) \
+                        * (gcmix - gcmi1) / (xs[gcmix] - xs[gcmi1])
+                    iv += 1
+                    if dx >= d:
+                        d = dx
+                        ig = ix + 1
+                        ih = iv - 1
+                else:
+                    # GCM point above an LCM chord segment.
+                    lcmiv1 = lcm[iv - 1]
+                    dx = (xs[gcmix] - xs[lcmiv1]) * (lcmiv - lcmiv1) \
+                        / (xs[lcmiv] - xs[lcmiv1]) - (gcmix - lcmiv1 - 1)
+                    ix -= 1
+                    if dx >= d:
+                        d = dx
+                        ig = ix + 1
+                        ih = iv
+                if ix < 0:
+                    ix = 0
+                if iv > l_lcm:
+                    iv = l_lcm
+                if gcm[ix] == lcm[iv]:
+                    break
+
+        if d < best:
+            break
+
+        # Dip of the ECDF against the convex minorant between touch points.
+        dip_lo = 0.0
+        for j in range(ig, l_gcm):
+            max_t = 1.0
+            jb = gcm[j + 1]
+            je = gcm[j]
+            if je - jb > 1 and xs[je] != xs[jb]:
+                c = (je - jb) / (xs[je] - xs[jb])
+                for jj in range(jb, je + 1):
+                    t = (jj - jb + 1) - (xs[jj] - xs[jb]) * c
+                    if max_t < t:
+                        max_t = t
+            if dip_lo < max_t:
+                dip_lo = max_t
+
+        # Dip against the concave majorant.
+        dip_hi = 0.0
+        for j in range(ih, l_lcm):
+            max_t = 1.0
+            jb = lcm[j]
+            je = lcm[j + 1]
+            if je - jb > 1 and xs[je] != xs[jb]:
+                c = (je - jb) / (xs[je] - xs[jb])
+                for jj in range(jb, je + 1):
+                    t = (xs[jj] - xs[jb]) * c - (jj - jb - 1)
+                    if max_t < t:
+                        max_t = t
+            if dip_hi < max_t:
+                dip_hi = max_t
+
+        if best < max(dip_lo, dip_hi):
+            best = max(dip_lo, dip_hi)
+        if low == gcm[ig] and high == lcm[ih]:
+            break
+        low = gcm[ig]
+        high = lcm[ih]
+
+    return best / (2.0 * n)
 
 
 def ctm_line_parser(text: str) -> list[PhoneInterval]:

@@ -32,6 +32,12 @@ def test_sample_set_rejects_nonpositive():
         cell([-3.0])
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_sample_set_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        cell([1.0, bad])
+
+
 def test_sample_set_is_a_read_only_1d_copy():
     source = np.array([70.0, 130.0])
     c = DurationSampleSet("a", "short", "t", source)
