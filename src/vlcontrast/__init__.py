@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .alignment import (  # noqa: E402
     IntervalTable,
     ParseError,
-    PhoneInterval,
     PhoneMap,
     PhoneMapError,
     TokenTable,
-    VowelToken,
     default_phone_map,
     extract_vowel_tokens,
     load_phone_map,
@@ -79,14 +77,12 @@ __all__ = [
     "IntervalTable",
     "NoInteriorModeError",
     "ParseError",
-    "PhoneInterval",
     "PhoneMap",
     "PhoneMapError",
     "RunResult",
     "TestResult",
     "TokenTable",
     "VOWEL_ORDER",
-    "VowelToken",
     "build_histogram",
     "collect_cells",
     "compare_corpora",

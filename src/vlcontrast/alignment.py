@@ -8,8 +8,8 @@ NFC normalization so that composed/decomposed encodings of labels like
 
 Parsers return an `IntervalTable` and `extract_vowel_tokens` a
 `TokenTable`: numpy columns plus the distinct utterance ids and labels
-their codes index.  Indexing or iterating a table builds `PhoneInterval`
-/ `VowelToken` views one row at a time; the analysis reads the columns.
+their codes index.  A row is read from the columns, e.g.
+`table.labels[table.label[i]]` or `CELLS[tokens.cell[i]]`.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 import re
 import unicodedata
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, product
@@ -32,9 +30,7 @@ import numpy as np
 __all__ = [
     "ParseError",
     "PhoneMapError",
-    "PhoneInterval",
     "PhoneMap",
-    "VowelToken",
     "IntervalTable",
     "TokenTable",
     "VOWEL_CLASSES",
@@ -78,37 +74,6 @@ def _nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-@dataclass(frozen=True)
-class PhoneInterval:
-    """One aligned phone: start/duration in seconds, label NFC-normalized."""
-
-    utterance_id: str
-    phone_label: str
-    start: float
-    duration: float
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError(f"non-positive duration {self.duration!r}")
-        if self.start < 0.0:
-            raise ValueError(f"negative start time {self.start!r}")
-        object.__setattr__(self, "phone_label", _nfc(self.phone_label))
-
-
-@dataclass(frozen=True)
-class VowelToken:
-    """One vowel occurrence attributed to a (vowel, length) cell."""
-
-    vowel_class: str
-    length_class: str
-    duration_ms: float
-    utterance_id: str
-
-    def __post_init__(self) -> None:
-        if self.duration_ms <= 0.0:
-            raise ValueError(f"non-positive duration {self.duration_ms!r}")
-
-
 def _code(index: dict, values) -> np.ndarray:
     """The code of each value in `index` (value -> code); a value not yet
     there gets the next free code, so codes follow first appearance."""
@@ -117,25 +82,11 @@ def _code(index: dict, values) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
-class _Table(Sequence):
-    """Rows held as numpy columns; a row object is built only when read."""
-
-    def __getitem__(self, index):
-        return self._row(operator.index(index))
-
-    def __eq__(self, other):
-        if isinstance(other, (_Table, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-
 @dataclass(frozen=True, eq=False)
-class IntervalTable(_Table):
+class IntervalTable:
     """Aligned phones as columns: `utterance` and `label` are codes into the
     distinct `utterance_ids` and NFC `labels`; `start` and `duration` are
-    float64 seconds.  Rows read as `PhoneInterval`s."""
+    float64 seconds."""
 
     utterance_ids: tuple[str, ...]
     utterance: np.ndarray
@@ -166,24 +117,8 @@ class IntervalTable(_Table):
         return cls.from_codes(utterances, utterance, raw_labels, raw_label,
                               start, duration)
 
-    @classmethod
-    def of(cls, intervals) -> "IntervalTable":
-        """`intervals` itself if it is a table, else a table of its rows."""
-        if isinstance(intervals, IntervalTable):
-            return intervals
-        rows = list(intervals)
-        return cls.from_columns([iv.utterance_id for iv in rows],
-                                [iv.phone_label for iv in rows],
-                                [iv.start for iv in rows],
-                                [iv.duration for iv in rows])
-
     def __len__(self) -> int:
         return len(self.start)
-
-    def _row(self, i: int) -> PhoneInterval:
-        return PhoneInterval(self.utterance_ids[self.utterance[i]],
-                             self.labels[self.label[i]],
-                             float(self.start[i]), float(self.duration[i]))
 
     def label_counts(self) -> dict[str, int]:
         """Intervals per label."""
@@ -192,31 +127,14 @@ class IntervalTable(_Table):
 
 
 @dataclass(frozen=True, eq=False)
-class TokenTable(_Table):
+class TokenTable:
     """Vowel tokens as columns: `cell` codes index `CELLS`, `duration_ms`
-    is float64 and `utterance` codes index `utterance_ids`.  Rows read as
-    `VowelToken`s."""
+    is float64 and `utterance` codes index `utterance_ids`."""
 
     cell: np.ndarray
     duration_ms: np.ndarray
     utterance_ids: tuple[str, ...]
     utterance: np.ndarray
-
-    @classmethod
-    def of(cls, tokens) -> "TokenTable":
-        """`tokens` itself if it is a table, else a table of its rows."""
-        if isinstance(tokens, TokenTable):
-            return tokens
-        rows = list(tokens)
-        try:
-            cell = [_CELL_CODES[(tok.vowel_class, tok.length_class)] for tok in rows]
-        except KeyError as exc:
-            raise ValueError(f"unknown (vowel, length) cell {exc.args[0]!r}") from None
-        utterance_ids: dict[str, int] = {}
-        utterance = _code(utterance_ids, [tok.utterance_id for tok in rows])
-        return cls(np.array(cell, dtype=np.intp),
-                   np.array([tok.duration_ms for tok in rows], dtype=np.float64),
-                   tuple(utterance_ids), utterance)
 
     @classmethod
     def concat(cls, tables) -> "TokenTable":
@@ -232,11 +150,6 @@ class TokenTable(_Table):
     def __len__(self) -> int:
         return len(self.duration_ms)
 
-    def _row(self, i: int) -> VowelToken:
-        vowel, length = CELLS[self.cell[i]]
-        return VowelToken(vowel, length, float(self.duration_ms[i]),
-                          self.utterance_ids[self.utterance[i]])
-
     def utterance_counts(self) -> Counter:
         """Tokens per utterance id; utterances without tokens are left out."""
         counts = Counter()
@@ -251,12 +164,17 @@ class PhoneMap:
     """Mapping phone_label -> (vowel_class, length_class).
 
     Labels absent from the map are non-vowels.  The schwa admits only a
-    short entry; no label may map to two cells.
+    short entry; no label may map to two cells.  A label may not be empty
+    or start or end with whitespace: the parsers never read such a label.
     """
 
     def __init__(self, entries: dict[str, tuple[str, str]]):
         normalized: dict[str, tuple[str, str]] = {}
         for label, (vowel, length) in entries.items():
+            if not label or label != label.strip():
+                raise PhoneMapError(
+                    f"phone label {label!r} is empty or starts or ends with "
+                    "whitespace, so no aligned phone can match it")
             label_n = _nfc(label)
             vowel_n = _nfc(vowel)
             if vowel_n not in VOWEL_CLASSES:
@@ -270,21 +188,9 @@ class PhoneMap:
             normalized[label_n] = (vowel_n, length)
         self._entries = normalized
 
-    def lookup(self, phone_label: str) -> tuple[str, str] | None:
-        return self._entries.get(_nfc(phone_label))
-
-    def __contains__(self, phone_label: str) -> bool:
-        return self.lookup(phone_label) is not None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def entries(self) -> dict[str, tuple[str, str]]:
         return dict(self._entries)
-
-    def cells(self) -> set[tuple[str, str]]:
-        return set(self._entries.values())
 
 
 def default_phone_map() -> PhoneMap:
@@ -709,14 +615,12 @@ def speaker_rule(spec: str | None) -> Callable[[str], str] | None:
     raise ValueError(f"unknown speaker rule {kind!r}")
 
 
-def extract_vowel_tokens(intervals, phone_map: PhoneMap) -> TokenTable:
-    """Map aligned phones (a table or a sequence of `PhoneInterval`s) to
-    vowel tokens (durations in ms).
+def extract_vowel_tokens(table: IntervalTable, phone_map: PhoneMap) -> TokenTable:
+    """Map aligned phones to vowel tokens (durations in ms).
 
     Intervals whose label is not in the map are silently skipped; input
     order is preserved.
     """
-    table = IntervalTable.of(intervals)
     entries = phone_map.entries  # labels are NFC on both sides
     cell_of_label = np.array([_CELL_CODES.get(entries.get(label), -1)
                               for label in table.labels], dtype=np.intp)

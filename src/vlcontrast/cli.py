@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .alignment import PhoneMapError
+from .alignment import CELLS, PhoneMapError
 from .report import (
     AnalysisConfig,
     ConfigError,
@@ -122,10 +122,14 @@ def _cmd_synth(args) -> int:
     out_dir = Path(args.outdir) / spec.corpus_id
     for name, text in sorted(corpus.files.items()):
         write_atomic(out_dir / name, text)
+    tokens = corpus.tokens
+    # tolist() gives Python floats; a numpy float64's repr reads "np.float64(...)"
     truth_lines = ["vowel,length,duration_ms,utterance_id"]
     truth_lines += [
-        f"{t.vowel_class},{t.length_class},{t.duration_ms!r},{t.utterance_id}"
-        for t in corpus.tokens
+        f"{','.join(CELLS[cell])},{duration_ms!r},{tokens.utterance_ids[u]}"
+        for cell, duration_ms, u in zip(tokens.cell.tolist(),
+                                        tokens.duration_ms.tolist(),
+                                        tokens.utterance.tolist())
     ]
     write_atomic(out_dir / "tokens_truth.csv", "\n".join(truth_lines) + "\n")
     print(f"wrote {len(corpus.files) + 1} files under {out_dir} "

@@ -111,14 +111,13 @@ def build_histogram(cell: DurationSampleSet, bin_width_ms: float = 10.0) -> Hist
                      tuple(float(d) for d in densities))
 
 
-def collect_cells(tokens, corpus_id: str):
-    """Group vowel tokens (a TokenTable or a sequence of `VowelToken`s) into
-    (vowel, length) -> DurationSampleSet of the corpus `corpus_id`.
+def collect_cells(tokens: TokenTable, corpus_id: str):
+    """Group a table's vowel tokens into (vowel, length) ->
+    DurationSampleSet of the corpus `corpus_id`.
 
     Cells come in the order of their first token and keep their tokens'
     order: each is a slice of the duration column sorted stably by cell.
     """
-    tokens = TokenTable.of(tokens)
     codes, first, counts = np.unique(tokens.cell, return_index=True,
                                      return_counts=True)
     durations = tokens.duration_ms[np.argsort(tokens.cell, kind="stable")]

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .alignment import VOWEL_CLASSES, VowelToken
+import numpy as np
+
+from .alignment import CELLS, VOWEL_CLASSES, TokenTable
 
 __all__ = ["Xoshiro256", "CellSpec", "CorpusSpec", "SynthCorpus",
            "sample_gamma", "generate_corpus"]
@@ -187,8 +189,8 @@ class SynthCorpus:
     """Emitted file texts plus the generated ground truth."""
 
     spec: CorpusSpec
-    files: dict[str, str] = field(default_factory=dict)
-    tokens: tuple[VowelToken, ...] = ()
+    files: dict[str, str]
+    tokens: TokenTable
 
 
 def _format_seconds(units: int) -> str:
@@ -230,15 +232,20 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
     """
     rng = Xoshiro256(spec.seed)
 
-    drawn: list[tuple[CellSpec, int]] = []  # (cell, duration in 0.1 ms units)
+    # (cell code, phone label, duration in 0.1 ms units)
+    drawn: list[tuple[int, str, int]] = []
     for cell in spec.cells:
+        code = CELLS.index((cell.vowel_class, cell.length_class))
+        label = cell.phone_label
         for value_ms in sample_gamma(cell.shape, cell.scale, cell.count, rng=rng):
             units = max(1, round(value_ms * TIME_UNITS_PER_SECOND / 1000.0))
-            drawn.append((cell, units))
+            drawn.append((code, label, units))
     rng.shuffle(drawn)
 
     utterances: list[tuple[str, list[tuple[int, int, str]]]] = []
-    tokens: list[VowelToken] = []
+    token_cell: list[int] = []
+    token_ms: list[float] = []
+    token_utterance: list[int] = []
     n_utts = max(1, math.ceil(len(drawn) / spec.utterance_size))
     for u in range(n_utts):
         chunk = drawn[u * spec.utterance_size:(u + 1) * spec.utterance_size]
@@ -247,14 +254,11 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
         intervals: list[tuple[int, int, str]] = []
         intervals.append((cursor, FILLER_UNITS, FILLER_LABEL))
         cursor += FILLER_UNITS
-        for cell, units in chunk:
-            intervals.append((cursor, units, cell.phone_label))
-            tokens.append(VowelToken(
-                vowel_class=cell.vowel_class,
-                length_class=cell.length_class,
-                duration_ms=units / 10.0,
-                utterance_id=utt_id,
-            ))
+        for code, label, units in chunk:
+            intervals.append((cursor, units, label))
+            token_cell.append(code)
+            token_ms.append(units / 10.0)
+            token_utterance.append(u)
             cursor += units
             intervals.append((cursor, FILLER_UNITS, FILLER_LABEL))
             cursor += FILLER_UNITS
@@ -274,4 +278,8 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
             total = intervals[-1][0] + intervals[-1][1] if intervals else 0
             files[f"{utt_id}.TextGrid"] = _textgrid_text(intervals, total)
 
-    return SynthCorpus(spec=spec, files=files, tokens=tuple(tokens))
+    tokens = TokenTable(np.array(token_cell, dtype=np.intp),
+                        np.array(token_ms, dtype=np.float64),
+                        tuple(utt_id for utt_id, _ in utterances),
+                        np.array(token_utterance, dtype=np.intp))
+    return SynthCorpus(spec=spec, files=files, tokens=tokens)

@@ -8,18 +8,20 @@ from a direct linear-program realization of its definition (nearest
 unimodal CDF in sup norm, exhaustive over modal positions).
 `dip_pointwise` is AS 217 run one sorted point at a time, which the
 package's tie-run dip must equal bit for bit.  CTM files
-are read by a line-at-a-time parser that builds one `PhoneInterval` per
-line.
+are read by a line-at-a-time parser that gives one
+(utterance id, NFC label, start, duration) tuple per line.
 """
 
 from __future__ import annotations
+
+import unicodedata
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.stats import gamma as scipy_gamma
 
-from vlcontrast.alignment import ParseError, PhoneInterval
+from vlcontrast.alignment import ParseError
 
 
 def gamma_pdf_ref(shape: float, scale: float, x):
@@ -296,12 +298,13 @@ def dip_pointwise(values) -> float:
     return best / (2.0 * n)
 
 
-def ctm_line_parser(text: str) -> list[PhoneInterval]:
-    """CTM intervals read one line at a time: comment (`#`) and blank lines
-    skipped, grouped per utterance in order of first appearance, sorted
-    stably by start within it.  Raises ParseError naming the first bad
-    line, checking every line before any overlap."""
-    per_utt: dict[str, list[tuple[float, int, PhoneInterval]]] = {}
+def ctm_line_parser(text: str) -> list[tuple[str, str, float, float]]:
+    """CTM intervals read one line at a time, as (utterance id, NFC label,
+    start, duration) tuples: comment (`#`) and blank lines skipped, grouped
+    per utterance in order of first appearance, sorted stably by start
+    within it.  Raises ParseError naming the first bad line, checking every
+    line before any overlap."""
+    per_utt: dict[str, list[tuple[float, int, tuple[str, str, float, float]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -327,7 +330,7 @@ def ctm_line_parser(text: str) -> list[PhoneInterval]:
         if start < 0.0:
             raise ParseError(f"negative start time {start_s}", lineno)
         per_utt.setdefault(utt, []).append(
-            (start, lineno, PhoneInterval(utt, label, start, dur)))
+            (start, lineno, (utt, unicodedata.normalize("NFC", label), start, dur)))
     result = []
     for utt, items in per_utt.items():
         items.sort(key=lambda t: t[0])
@@ -335,6 +338,6 @@ def ctm_line_parser(text: str) -> list[PhoneInterval]:
         for start, lineno, interval in items:
             if prev_end is not None and start < prev_end - 1e-9:
                 raise ParseError(f"overlapping intervals in utterance {utt!r}", lineno)
-            prev_end = start + interval.duration
+            prev_end = start + interval[3]
             result.append(interval)
     return result

@@ -1,10 +1,13 @@
 """Alignment parsing and vowel-token extraction."""
 
+import json
 import unicodedata
 
 import pytest
+from tables import rows
 
 from vlcontrast.alignment import (
+    IntervalTable,
     ParseError,
     PhoneMap,
     PhoneMapError,
@@ -14,7 +17,6 @@ from vlcontrast.alignment import (
     parse_ctm,
     parse_textgrid,
     speaker_rule,
-    PhoneInterval,
 )
 from vlcontrast.durations import collect_cells
 from vlcontrast.synthgen import CellSpec, CorpusSpec, generate_corpus
@@ -56,18 +58,13 @@ def test_textgrid_hand_fixture():
     assert len(tiers) == 1
     name, intervals = tiers[0]
     assert name == "phones"
-    assert len(intervals) == 1
-    iv = intervals[0]
-    assert iv.phone_label == "a"
-    assert iv.start == pytest.approx(0.0)
-    assert iv.duration == pytest.approx(0.07)
-    assert iv.utterance_id == "utt1"
+    assert rows(intervals) == [("utt1", "a", 0.0, pytest.approx(0.07))]
 
 
 def test_textgrid_empty_tier():
     text = one_tier_textgrid([(0.0, 0.5, ""), (0.5, 1.0, "")])
     tiers = parse_textgrid(text)
-    assert tiers == [("phones", [])]
+    assert [(name, rows(table)) for name, table in tiers] == [("phones", [])]
 
 
 def test_textgrid_xmax_before_xmin_names_line():
@@ -171,13 +168,12 @@ def test_textgrid_point_tier_skipped(caplog):
 
 
 def test_ctm_empty():
-    assert parse_ctm("") == []
-    assert parse_ctm("# only a comment\n\n") == []
+    assert rows(parse_ctm("")) == []
+    assert rows(parse_ctm("# only a comment\n\n")) == []
 
 
 def test_ctm_single_line():
-    (iv,) = parse_ctm("utt1 1 0.00 0.07 a\n")
-    assert iv == PhoneInterval("utt1", "a", 0.0, 0.07)
+    assert rows(parse_ctm("utt1 1 0.00 0.07 a\n")) == [("utt1", "a", 0.0, 0.07)]
 
 
 def test_ctm_negative_duration():
@@ -202,8 +198,7 @@ def test_ctm_groups_and_sorts_per_utterance():
         "u1 1 0.10 0.10 i\n"
         "u2 1 0.10 0.10 o\n"
     )
-    ivs = parse_ctm(text)
-    assert [(iv.utterance_id, iv.phone_label) for iv in ivs] == [
+    assert [row[:2] for row in rows(parse_ctm(text))] == [
         ("u2", "o"), ("u2", "e"), ("u1", "i"), ("u1", "a")]
 
 
@@ -215,7 +210,7 @@ def test_ctm_overlap_rejected():
 
 def test_default_map_shape():
     pm = default_phone_map()
-    cells = pm.cells()
+    cells = set(pm.entries.values())
     vowels = {v for v, _ in cells}
     assert vowels == {"i", "e", "ɛ", "a", "ɔ", "o", "u", "ə"}
     for v in ("i", "e", "ɛ", "a", "ɔ", "o", "u"):
@@ -223,8 +218,8 @@ def test_default_map_shape():
     assert ("ə", "short") in cells
     assert ("ə", "long") not in cells
     # reduplication and colon aliases both land on the long cell
-    assert pm.lookup("aa") == ("a", "long")
-    assert pm.lookup("a:") == ("a", "long")
+    assert pm.entries["aa"] == ("a", "long")
+    assert pm.entries["a:"] == ("a", "long")
 
 
 def test_load_phone_map_roundtrip_and_errors():
@@ -232,7 +227,8 @@ def test_load_phone_map_roundtrip_and_errors():
         '{"phones": {"a": {"vowel": "a", "length": "short"},'
         ' "aa": {"vowel": "a", "length": "long"},'
         ' "a:": {"vowel": "a", "length": "long"}}}')
-    assert pm.lookup("aa") == pm.lookup("a:") == ("a", "long")
+    assert pm.entries == {"a": ("a", "short"), "aa": ("a", "long"),
+                          "a:": ("a", "long")}
 
     with pytest.raises(PhoneMapError):  # duplicate label
         load_phone_map('{"phones": {"a": {"vowel": "a", "length": "short"},'
@@ -245,45 +241,57 @@ def test_load_phone_map_roundtrip_and_errors():
         load_phone_map("phones: a")
 
 
+@pytest.mark.parametrize("label", ["", "a ", " a", "\ta", "aa　"])
+def test_phone_map_rejects_labels_that_never_match(label):
+    # parse_ctm splits fields on whitespace and parse_textgrid strips
+    # labels, so no parsed label can equal these
+    text = json.dumps({"phones": {label: {"vowel": "a", "length": "short"}}})
+    with pytest.raises(PhoneMapError) as err:
+        load_phone_map(text)
+    assert repr(label) in str(err.value)
+    with pytest.raises(PhoneMapError):
+        PhoneMap({label: ("a", "short")})
+
+
+def _one_interval(label):
+    return IntervalTable.from_columns(["u1"], [label], [0.0], [0.1])
+
+
 def test_phone_map_nfc_normalization():
     # decomposed vs composed encodings of the same label must collide
     composed = "ɛ́"  # already NFC-stable combining sequence
     decomposed = unicodedata.normalize("NFD", composed)
     pm = load_phone_map(
         '{"phones": {"%s": {"vowel": "ɛ", "length": "short"}}}' % composed)
-    assert pm.lookup(decomposed) == ("ɛ", "short")
+    assert rows(extract_vowel_tokens(_one_interval(decomposed), pm)) == [
+        ("ɛ", "short", 100.0, "u1")]
 
 
-def test_phone_interval_normalizes_its_label():
+def test_interval_table_normalizes_its_labels():
     composed, decomposed = "\u00e9", "e\u0301"
-    assert PhoneInterval("u1", decomposed, 0.0, 0.1).phone_label == composed
-    assert parse_ctm(f"u1 1 0.0 0.1 {decomposed}\n")[0].phone_label == composed
+    assert _one_interval(decomposed).labels == (composed,)
+    assert parse_ctm(f"u1 1 0.0 0.1 {decomposed}\n").labels == (composed,)
     for map_label, label in ((composed, decomposed), (decomposed, composed)):
         pm = PhoneMap({map_label: ("e", "long")})
-        toks = extract_vowel_tokens([PhoneInterval("u1", label, 0.0, 0.1)], pm)
-        assert [(t.vowel_class, t.length_class) for t in toks] == [("e", "long")]
+        toks = extract_vowel_tokens(_one_interval(label), pm)
+        assert [row[:2] for row in rows(toks)] == [("e", "long")]
 
 
 def test_extract_tokens_basic():
     pm = default_phone_map()
-    intervals = [
-        PhoneInterval("u1", "a", 0.0, 0.070),
-        PhoneInterval("u1", "sil", 0.07, 0.5),
-        PhoneInterval("u1", "aa", 0.57, 0.130),
-    ]
+    intervals = IntervalTable.from_columns(
+        ["u1"] * 3, ["a", "sil", "aa"], [0.0, 0.07, 0.57], [0.070, 0.5, 0.130])
     toks = extract_vowel_tokens(intervals, pm)
-    assert [(t.vowel_class, t.length_class) for t in toks] == [
-        ("a", "short"), ("a", "long")]
-    assert toks[0].duration_ms == pytest.approx(70.0)
-    assert toks[1].duration_ms == pytest.approx(130.0)
+    assert rows(toks) == [("a", "short", pytest.approx(70.0), "u1"),
+                          ("a", "long", pytest.approx(130.0), "u1")]
     assert collect_cells(toks, "read")[("a", "short")].corpus_id == "read"
 
 
 def test_extract_tokens_skips_all_consonants():
     pm = default_phone_map()
-    intervals = [PhoneInterval("u1", lab, i * 0.1, 0.05)
-                 for i, lab in enumerate(["b", "d", "sil", "k"])]
-    assert extract_vowel_tokens(intervals, pm) == []
+    intervals = IntervalTable.from_columns(
+        ["u1"] * 4, ["b", "d", "sil", "k"], [0.0, 0.1, 0.2, 0.3], [0.05] * 4)
+    assert rows(extract_vowel_tokens(intervals, pm)) == []
 
 
 def test_speaker_rules():
@@ -302,8 +310,7 @@ def test_speaker_rules():
 
 
 def _token_multiset(tokens):
-    return sorted((t.vowel_class, t.length_class, t.duration_ms)
-                  for t in tokens)
+    return sorted(row[:3] for row in rows(tokens))
 
 
 def test_textgrid_and_ctm_yield_identical_token_multisets():
@@ -324,10 +331,11 @@ def test_textgrid_and_ctm_yield_identical_token_multisets():
             continue
         for _tier, intervals in parse_textgrid(corpus.files[name],
                                                utterance_id=name[:-9]):
-            mapped_intervals += sum(1 for iv in intervals if iv.phone_label in pm)
-            tg_tokens.extend(extract_vowel_tokens(intervals, pm))
+            mapped_intervals += sum(1 for row in rows(intervals)
+                                    if row[1] in pm.entries)
+            tg_tokens += rows(extract_vowel_tokens(intervals, pm))
 
-    assert _token_multiset(ctm_tokens) == _token_multiset(tg_tokens)
+    assert _token_multiset(ctm_tokens) == sorted(row[:3] for row in tg_tokens)
     # parsed durations recover the ground truth to the emission quantum
     truth = _token_multiset(corpus.tokens)
     for parsed, generated in zip(_token_multiset(ctm_tokens), truth):

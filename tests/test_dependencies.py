@@ -1,9 +1,13 @@
 """Numpy is the only runtime dependency: every import in the package is
-of the standard library, numpy or the package itself."""
+of the standard library, numpy or the package itself.  Every exported
+name exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import vlcontrast
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "vlcontrast"
 ALLOWED_ROOTS = frozenset(sys.stdlib_module_names) | {"numpy", "vlcontrast"}
@@ -38,3 +42,19 @@ def test_package_imports_only_stdlib_numpy_and_itself():
     stray = {path.name: _foreign_imports(path.read_text(encoding="utf-8"))
              for path in modules}
     assert {name: found for name, found in stray.items() if found} == {}
+
+
+def _missing_exports(module) -> list[str]:
+    """Names in the module's `__all__` that `getattr` does not find on it."""
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_every_exported_name_resolves():
+    modules = [vlcontrast] + [
+        importlib.import_module(f"vlcontrast.{path.stem}")
+        for path in sorted(PACKAGE_DIR.glob("*.py")) if not path.stem.startswith("_")]
+    exporting = {module.__name__: module for module in modules
+                 if hasattr(module, "__all__")}
+    assert {"vlcontrast", "vlcontrast.alignment", "vlcontrast.synthgen"} <= set(exporting)
+    assert {name: _missing_exports(module) for name, module in exporting.items()} == {
+        name: [] for name in exporting}

@@ -10,7 +10,7 @@ from vlcontrast.durations import (
     collect_cells,
     filter_outliers,
 )
-from vlcontrast.alignment import VowelToken
+from vlcontrast.alignment import CELLS, TokenTable
 from vlcontrast.synthgen import sample_gamma
 
 
@@ -151,12 +151,10 @@ def test_histogram_matches_analytic_bin_probabilities():
 
 
 def test_collect_cells_groups_by_vowel_and_length():
-    toks = [
-        VowelToken("a", "short", 70.0, "u1"),
-        VowelToken("a", "long", 130.0, "u1"),
-        VowelToken("a", "short", 75.0, "u2"),
-        VowelToken("i", "short", 60.0, "u2"),
-    ]
+    codes = [CELLS.index(key) for key in (
+        ("a", "short"), ("a", "long"), ("a", "short"), ("i", "short"))]
+    toks = TokenTable(np.array(codes), np.array([70.0, 130.0, 75.0, 60.0]),
+                      ("u1", "u2"), np.array([0, 0, 1, 1]))
     cells = collect_cells(toks, "c")
     assert set(cells) == {("a", "short"), ("a", "long"), ("i", "short")}
     assert cells[("a", "short")].samples.tolist() == [70.0, 75.0]

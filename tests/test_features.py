@@ -16,7 +16,7 @@ from vlcontrast.features import (
     density_crossings,
 )
 from vlcontrast.gamma import GammaFit, NoInteriorModeError, gamma_pdf
-from vlcontrast.alignment import VowelToken
+from vlcontrast.alignment import CELLS, TokenTable
 from vlcontrast.synthgen import sample_gamma
 
 FIT_S = GammaFit(4.0, 20.0)   # mode 60
@@ -245,8 +245,10 @@ def test_time_unit_equivariance():
 
 
 def _tokens(vowel, length, durations):
-    return [VowelToken(vowel, length, d, f"u{i}")
-            for i, d in enumerate(durations)]
+    n = len(durations)
+    return TokenTable(np.full(n, CELLS.index((vowel, length))),
+                      np.array(durations, dtype=np.float64),
+                      tuple(f"u{i}" for i in range(n)), np.arange(n))
 
 
 def _cells(tokens, corpus):
@@ -279,10 +281,10 @@ def test_compare_corpora_shifted_means_detected():
 
 
 def test_compare_corpora_pooled_and_errors():
-    a = (_tokens("a", "short", sample_gamma(6.0, 11.5, 60, seed=104))
-         + _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105)))
-    b = (_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106))
-         + _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107)))
+    a = TokenTable.concat([_tokens("a", "short", sample_gamma(6.0, 11.5, 60, seed=104)),
+                           _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105))])
+    b = TokenTable.concat([_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106)),
+                           _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107))])
     pooled = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "pooled")
     assert pooled.n1 <= 100 and pooled.n2 <= 80  # post filtering
 

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import ctm_line_parser
+from tables import rows
 
 from vlcontrast import alignment
 from vlcontrast.alignment import ParseError, parse_ctm, parse_textgrid
@@ -21,14 +22,19 @@ SETTINGS = settings(max_examples=300, deadline=None)
 
 
 def _outcome(parse, text):
-    """Rows of a parse, times as float.hex so -0.0 and 0.0 differ, or the
-    message and line of its ParseError."""
+    """(utterance id, label, start, duration) rows of a parse, times as
+    float.hex so -0.0 and 0.0 differ, or the message and line of its
+    ParseError."""
     try:
-        rows = parse(text)
+        parsed = parse(text)
     except ParseError as err:
         return ("error", str(err), err.line)
-    return ("ok", [(iv.utterance_id, iv.phone_label, iv.start.hex(),
-                    iv.duration.hex()) for iv in rows])
+    return ("ok", [(utt, label, start.hex(), duration.hex())
+                   for utt, label, start, duration in parsed])
+
+
+def _parse_ctm_rows(text):
+    return rows(parse_ctm(text))
 
 
 def _seconds(units: int, style: int) -> str:
@@ -97,7 +103,7 @@ CHUNK_SIZES = st.sampled_from((1, 9, 40, alignment._CHUNK_CHARS))
 def test_ctm_columns_equal_the_line_parser(case, chunk):
     plain, text = case
     with mock.patch.object(alignment, "_CHUNK_CHARS", chunk):
-        assert _outcome(parse_ctm, text) == _outcome(ctm_line_parser, text)
+        assert _outcome(_parse_ctm_rows, text) == _outcome(ctm_line_parser, text)
     if plain and "\U0001d44e" not in text:
         assert alignment._plain_ctm_fields(text) is not None  # the column path ran
 
@@ -132,7 +138,7 @@ def test_ctm_errors_name_the_same_line_as_the_line_parser(data, chunk):
         lines.insert(data.draw(st.integers(0, len(lines))), _bad_line(data.draw))
     text = "\n".join(lines) + "\n"
     with mock.patch.object(alignment, "_CHUNK_CHARS", chunk):
-        got = _outcome(parse_ctm, text)
+        got = _outcome(_parse_ctm_rows, text)
     assert got == _outcome(ctm_line_parser, text)
 
 
@@ -147,14 +153,14 @@ CTM_PIECES = st.lists(st.sampled_from(list("u1 0.5\n#a-e\t\r") + [
 @given(st.one_of(st.text(), CTM_PIECES), CHUNK_SIZES)
 def test_arbitrary_text_is_a_table_or_a_parse_error(text, chunk):
     with mock.patch.object(alignment, "_CHUNK_CHARS", chunk):
-        got = _outcome(parse_ctm, text)  # any other exception fails the test
+        got = _outcome(_parse_ctm_rows, text)  # any other exception fails the test
     assert got == _outcome(ctm_line_parser, text)
 
 
 @SETTINGS
 @given(st.text(st.characters(blacklist_categories=())))
 def test_arbitrary_text_with_surrogates_is_a_table_or_a_parse_error(text):
-    assert _outcome(parse_ctm, text) == _outcome(ctm_line_parser, text)
+    assert _outcome(_parse_ctm_rows, text) == _outcome(ctm_line_parser, text)
 
 
 @SETTINGS
@@ -202,8 +208,7 @@ def test_textgrid_round_trips(tiers):
     parsed = parse_textgrid(_textgrid(tiers), utterance_id="utt")
     assert [name for name, _ in parsed] == [name for name, _ in tiers]
     for (_, table), (_, intervals) in zip(parsed, tiers):
-        assert [(iv.utterance_id, iv.phone_label, iv.start, iv.duration)
-                for iv in table] == [
+        assert rows(table) == [
             ("utt", alignment._nfc(text.strip()), float(lo),
              float(Decimal(hi) - Decimal(lo)))
             for lo, hi, text in intervals if text.strip()]

@@ -1,11 +1,13 @@
 """End-to-end analysis runs, table/plot emission, CLI behavior."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from tables import rows
 
 from vlcontrast.cli import main as cli_main
 from vlcontrast.features import ContrastReport
@@ -375,6 +377,19 @@ def test_configured_phone_map_relabels_the_corpus(tmp_path):
     assert "absent.json" in str(err.value)
 
 
+def test_cli_rejects_a_phone_map_label_that_never_matches(tmp_path, capsys):
+    config_path = _small_ctm_config(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["phone_map"] = str(tmp_path / "map.json")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "map.json").write_text(json.dumps({"phones": {
+        "a ": {"vowel": "a", "length": "short"},
+        "aa": {"vowel": "a", "length": "long"}}}), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert "'a '" in capsys.readouterr().err
+    assert not (tmp_path / "outx").exists()
+
+
 def test_comparisons_must_write_distinct_ks_files(tmp_path, capsys):
     corpora = tuple(CorpusSource(c, (f"{c}.ctm",), "ctm")
                     for c in ("x_vs_y", "z", "x", "y_vs_z"))
@@ -509,6 +524,42 @@ def test_cli_synth_then_analyze_and_compare(tmp_path, capsys):
 
     # compare without comparisons in the config is a usage error
     assert cli_main(["compare", "--config", str(config_path)]) == 2
+
+
+# sha256 of every file `vlcontrast synth` writes for PIN_SPEC, recorded
+# when the ground truth was still a tuple of per-token objects.
+PIN_SPEC = {
+    "corpus_id": "pin", "seed": 31, "utterance_size": 4,
+    "emit_formats": ["ctm", "textgrid"],
+    "cells": [
+        {"vowel": "a", "length": "short", "shape": 6.0, "scale": 11.5, "count": 7},
+        {"vowel": "ɔ", "length": "long", "shape": 5.0, "scale": 20.0, "count": 4},
+        {"vowel": "ə", "length": "short", "shape": 7.0, "scale": 8.0, "count": 3},
+    ],
+}
+PIN_SHA256 = {
+    "pin-0000.TextGrid": "35700a53070146c38dbbf983abbfdd5ca55cf2f85e41dc35b9e3ac30fba18b22",
+    "pin-0001.TextGrid": "a5ecf9875995ef3e91e032c47ccc43344d91e0bd47dc27f52fa2e19a9503835e",
+    "pin-0002.TextGrid": "300d9bd80025fb9155beb830f3efeb78dee4ef9c2e139417f897dbaa5921c034",
+    "pin-0003.TextGrid": "a0c22e4eab5ca8766af31c9f056b681121840369fd58e3635dedb3bb5139fa5a",
+    "pin.ctm": "ef003518c59d904847c0faf4530b64bddf0f3ed8bf0087339bdb6f98964b5475",
+    "tokens_truth.csv": "b7b0482873bec2dd9820e063ba4dced00e661dfb39d848b03de7ed16ad653721",
+}
+
+
+def test_cli_synth_outputs_are_pinned(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(PIN_SPEC), encoding="utf-8")
+    assert cli_main(["synth", "--spec", str(spec_path),
+                     "--outdir", str(tmp_path)]) == 0
+    assert "(14 vowel tokens)" in capsys.readouterr().out
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "pin").iterdir()}
+    assert written == PIN_SHA256
+    truth = (tmp_path / "pin" / "tokens_truth.csv").read_text(encoding="utf-8")
+    assert truth.splitlines()[:2] == ["vowel,length,duration_ms,utterance_id",
+                                      "ə,short,77.7,pin-0000"]
+    assert "np." not in truth
 
 
 def test_cli_compare_happy_path(tmp_path, capsys):
@@ -865,10 +916,10 @@ def test_per_speaker_counts_speakers_of_vowel_tokens_only(tmp_path):
     from vlcontrast.alignment import (default_phone_map, extract_vowel_tokens,
                                       parse_ctm, speaker_rule)
 
-    rows = [("s1-u1", "a"), ("s1-u1", "sil"), ("s1-u2", "aa"), ("s2-u1", "a"),
-            ("s2-u1", "ɛɛ"), ("s3-u1", "sil"), ("s3-u1", "b"), ("s1-u1", "a")]
+    phones = [("s1-u1", "a"), ("s1-u1", "sil"), ("s1-u2", "aa"), ("s2-u1", "a"),
+              ("s2-u1", "ɛɛ"), ("s3-u1", "sil"), ("s3-u1", "b"), ("s1-u1", "a")]
     text = "".join(f"{utt} 1 {i * 0.1:.1f} 0.07 {label}\n"
-                   for i, (utt, label) in enumerate(rows))
+                   for i, (utt, label) in enumerate(phones))
     (tmp_path / "one.ctm").write_text(text, encoding="utf-8")
     # the same utterance id in a second file adds to the same speaker
     (tmp_path / "two.ctm").write_text("s2-u1 1 0.0 0.09 u\n", encoding="utf-8")
@@ -879,27 +930,17 @@ def test_per_speaker_counts_speakers_of_vowel_tokens_only(tmp_path):
         encoding="utf-8"))["corpora"]["c"]
     assert meta["per_speaker"] == {"s1": 3, "s2": 3}  # s3 has no vowel token
     speaker = speaker_rule("prefix:-")
-    tokens = [tok for name in ("one.ctm", "two.ctm") for tok in extract_vowel_tokens(
-        parse_ctm((tmp_path / name).read_text(encoding="utf-8")), default_phone_map())]
-    assert meta["per_speaker"] == dict(Counter(speaker(tok.utterance_id) for tok in tokens))
+    tokens = [row for name in ("one.ctm", "two.ctm") for row in rows(extract_vowel_tokens(
+        parse_ctm((tmp_path / name).read_text(encoding="utf-8")), default_phone_map()))]
+    assert meta["per_speaker"] == dict(Counter(speaker(row[3]) for row in tokens))
 
 
-def test_run_builds_no_per_phone_objects(tmp_path, monkeypatch):
-    from vlcontrast.alignment import PhoneInterval, VowelToken
-
+def test_run_reads_plain_crlf_and_textgrid_corpora(tmp_path):
     ctm = _small_ctm_config(tmp_path)
     config = json.loads(ctm.read_text(encoding="utf-8"))
     crlf = tmp_path / "crlf.ctm"  # not plain: read by the line loop
     crlf.write_bytes((tmp_path / "small.ctm").read_bytes().replace(b"\n", b"\r\n"))
     _, tg_dir = _write_two_corpora(tmp_path)
-
-    def refuse(self):
-        raise AssertionError(f"built {type(self).__name__} on the run path")
-
-    monkeypatch.setattr(PhoneInterval, "__post_init__", refuse)
-    monkeypatch.setattr(VowelToken, "__post_init__", refuse)
-    with pytest.raises(AssertionError):
-        VowelToken("a", "short", 70.0, "u1")
     result = run_analysis(AnalysisConfig(
         corpora=(CorpusSource("c", tuple(config["corpora"][0]["paths"]), "ctm"),
                  CorpusSource("crlf", (str(crlf),), "ctm"),

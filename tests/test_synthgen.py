@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tables import rows
 
 from vlcontrast.alignment import (
     default_phone_map,
@@ -70,12 +71,12 @@ def test_generate_corpus_single_cell_matches_draw_log():
     # ground truth equals the seeded draws to the 0.1 ms emission quantum
     raw = sample_gamma(4.0, 20.0, 5, rng=Xoshiro256(11))
     assert sorted(round(x, 1) for x in raw) == sorted(
-        t.duration_ms for t in corpus.tokens)
+        corpus.tokens.duration_ms.tolist())
     parsed = extract_vowel_tokens(parse_ctm(corpus.files["one.ctm"]),
                                   default_phone_map())
     assert len(parsed) == 5
-    assert sorted(t.duration_ms for t in parsed) == pytest.approx(
-        sorted(t.duration_ms for t in corpus.tokens), abs=1e-9)
+    assert sorted(parsed.duration_ms) == pytest.approx(
+        sorted(corpus.tokens.duration_ms), abs=1e-9)
 
 
 def test_generate_corpus_empty_cells_yield_filler_only():
@@ -83,10 +84,10 @@ def test_generate_corpus_empty_cells_yield_filler_only():
                       cells=(CellSpec("a", "short", 4.0, 20.0, 0),),
                       emit_formats=("ctm", "textgrid"))
     corpus = generate_corpus(spec)
-    assert corpus.tokens == ()
+    assert rows(corpus.tokens) == []
     parsed = extract_vowel_tokens(parse_ctm(corpus.files["empty.ctm"]),
                                   default_phone_map())
-    assert parsed == []
+    assert rows(parsed) == []
     assert any(name.endswith(".TextGrid") for name in corpus.files)
 
 
@@ -97,7 +98,7 @@ def test_generate_corpus_cell_counts_exact():
     ), utterance_size=20, emit_formats=("ctm",))
     corpus = generate_corpus(spec)
     assert len(corpus.tokens) == 5553
-    n_short = sum(1 for t in corpus.tokens if t.length_class == "short")
+    n_short = sum(1 for row in rows(corpus.tokens) if row[1] == "short")
     assert (n_short, len(corpus.tokens) - n_short) == (4673, 880)
 
 
@@ -109,7 +110,7 @@ def test_generate_corpus_byte_identical_for_fixed_seed():
     first = generate_corpus(spec)
     second = generate_corpus(spec)
     assert first.files == second.files
-    assert first.tokens == second.tokens
+    assert rows(first.tokens) == rows(second.tokens)
 
 
 def test_generate_corpus_rejects_unknown_format():
@@ -148,13 +149,13 @@ def test_round_trip_durations_within_half_quantum():
     # raw (unquantized) draws in generation order
     rng = Xoshiro256(4242)
     raw = sample_gamma(7.2, 11.0, 500, rng=rng) + sample_gamma(8.0, 15.0, 300, rng=rng)
-    truth = sorted(t.duration_ms for t in corpus.tokens)
+    truth = sorted(corpus.tokens.duration_ms.tolist())
     assert max(abs(a - b) for a, b in zip(sorted(raw), truth)) <= 0.05 + 1e-9
 
     parsed = extract_vowel_tokens(parse_ctm(corpus.files["rt2.ctm"]), pm)
     assert len(parsed) == 800
     diffs = [abs(a - b) for a, b in
-             zip(sorted(t.duration_ms for t in parsed), truth)]
+             zip(sorted(parsed.duration_ms.tolist()), truth)]
     assert max(diffs) <= 0.05
 
     tg_tokens = []
@@ -162,9 +163,9 @@ def test_round_trip_durations_within_half_quantum():
         if name.endswith(".TextGrid"):
             for _t, ivs in parse_textgrid(corpus.files[name],
                                           utterance_id=name[:-9]):
-                tg_tokens.extend(extract_vowel_tokens(ivs, pm))
-    assert sorted(t.duration_ms for t in tg_tokens) == sorted(
-        t.duration_ms for t in parsed)
+                tg_tokens += rows(extract_vowel_tokens(ivs, pm))
+    assert sorted(row[2] for row in tg_tokens) == sorted(
+        parsed.duration_ms.tolist())
 
 
 def test_pipeline_closure_large_n():
