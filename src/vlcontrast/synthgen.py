@@ -9,10 +9,23 @@ Randomness comes from a self-contained xoshiro256** generator (seeded via
 splitmix64) so that a fixed seed yields byte-identical output on any
 platform and library version.  Gamma variates use the Marsaglia-Tsang
 squeeze method, with the u^(1/k) boost for shapes below 1.
+
+The generator's stream is made in blocks.  xoshiro256** is linear over
+GF(2): one step multiplies the 256-bit state by a fixed matrix T.  A
+block runs `_LANES` numpy uint64 lanes for `_STEPS` steps each, lane l
+starting at J^l s, where s is the block's start state and J = T^_STEPS.
+Lane l then makes exactly the stream's outputs l*_STEPS to
+(l+1)*_STEPS - 1, because the multiplications by 5 and 9, the shifts and
+the rotations wrap in uint64 as they do mod 2^64, so laid end to end the
+lanes are the one-step-at-a-time stream, bit for bit.  Every consumer
+reads that one buffered stream.  The gamma variates keep their float
+arithmetic and `math` calls per attempt; the utterance layout is built
+as columns and each distinct time is formatted once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import CELLS, VOWEL_CLASSES, TokenTable
+from .report import _STRING, ConfigError, _check_entry, _list_of
 
 __all__ = ["Xoshiro256", "CellSpec", "CorpusSpec", "SynthCorpus",
            "sample_gamma", "generate_corpus"]
@@ -34,44 +48,150 @@ TIME_UNITS_PER_SECOND = 10_000
 FILLER_LABEL = "sil"
 FILLER_UNITS = 500  # 50 ms of padding around each vowel token
 
+# A block of the stream: _LANES lanes of _STEPS steps (both powers of two).
+_LANES = 256
+_STEPS = 256
+# Uniforms one gamma attempt can read: the shape < 1 boost plus three.
+_ATTEMPT_READS = 4
+# CTM lines joined at a time.
+_CTM_CHUNK = 1 << 15
+# Longest corpus, in ms, whose times stay exact integers in int64 and
+# float64 (2^52 units of 0.1 ms, about 14,000 years).
+_MAX_SPAN_MS = 2.0 ** 52 / 10
 
-class Xoshiro256:
-    """xoshiro256** PRNG; small, fast enough, and fully reproducible."""
 
-    def __init__(self, seed: int):
-        # splitmix64 expansion of the seed into 256 bits of state
-        state = []
-        z = seed & _MASK64
-        for _ in range(4):
-            z = (z + 0x9E3779B97F4A7C15) & _MASK64
-            s = z
-            s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & _MASK64
-            state.append(s ^ (s >> 31))
-        if not any(state):
-            state[0] = 1
-        self._s = state
+def _splitmix64(seed: int) -> list[int]:
+    """The four state words splitmix64 expands `seed` into."""
+    state = []
+    z = seed & _MASK64
+    for _ in range(4):
+        z = (z + 0x9E3779B97F4A7C15) & _MASK64
+        s = z
+        s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state.append(s ^ (s >> 31))
+    return state
 
-    @staticmethod
-    def _rotl(x: int, k: int) -> int:
-        return ((x << k) | (x >> (64 - k))) & _MASK64
 
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (self._rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
+def _run_lanes(lanes: np.ndarray, steps: int) -> np.ndarray:
+    """Step each column of the 4 x L uint64 state array `steps` times in
+    place; returns the outputs, one row per step."""
+    s0, s1, s2, s3 = lanes
+    out = np.empty((steps, lanes.shape[1]), np.uint64)
+    t = np.empty_like(s0)
+    for r in out:
+        np.multiply(s1, 5, out=r)              # rotl(s1 * 5, 7) * 9
+        np.left_shift(r, 7, out=t)
+        r >>= 57
+        r |= t
+        r *= 9
+        np.left_shift(s1, 17, out=t)
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = self._rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        np.left_shift(s3, 45, out=t)           # rotl(s3, 45)
+        s3 >>= 19
+        s3 |= t
+    return out
+
+
+def _to_bits(lanes: np.ndarray) -> np.ndarray:
+    """4 x L uint64 states -> L x 256 rows of 0/1 (bit 64*w + b is bit b
+    of word w)."""
+    words = np.ascontiguousarray(lanes.T, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+
+
+def _from_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of `_to_bits`."""
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
+
+
+@functools.cache
+def _jump_powers() -> tuple[np.ndarray, ...]:
+    """J^(2^k) for k = 0 .. log2(_LANES) - 1, J = T^_STEPS, as 0/1 float32
+    matrices that step a row of state bits by right multiplication.
+
+    Row i of T is one step of the state with only bit i set, so one
+    vectorized step of those 256 states builds it; each power is a float
+    matmul mod 2 (the sums are integers of at most 256, exact in float32)."""
+    basis = _from_bits(np.eye(256, dtype=np.uint8))
+    _run_lanes(basis, 1)
+    power = _to_bits(basis).astype(np.float32)
+    for _ in range(_STEPS.bit_length() - 1):
+        power = (power @ power) % 2
+    powers = [power]
+    while len(powers) < _LANES.bit_length() - 1:
+        powers.append((powers[-1] @ powers[-1]) % 2)
+    return tuple(powers)
+
+
+class Xoshiro256:
+    """xoshiro256** PRNG, fully reproducible, made a block at a time.
+
+    `next_u64`, `random`, `normal`, `shuffle` and `sample_gamma(rng=...)`
+    all read one buffered stream, equal to stepping the generator once
+    per draw."""
+
+    def __init__(self, seed: int):
+        state = _splitmix64(seed)
+        if not any(state):
+            state[0] = 1
+        self._state = np.array(state, dtype=np.uint64)  # next block's start
+        self._buffer = np.empty(0, np.uint64)           # made, read to _pos
+        self._pos = 0
+        self._uniforms = None  # the buffer as doubles in [0, 1), on demand
+
+    def _next_block(self) -> np.ndarray:
+        bits = np.empty((_LANES, 256), np.float32)
+        bits[0] = _to_bits(self._state[:, None])[0]
+        n = 1
+        for power in _jump_powers():          # lane l starts at J^l s
+            bits[n:2 * n] = (bits[:n] @ power) % 2
+            n *= 2
+        lanes = _from_bits(bits)
+        out = _run_lanes(lanes, _STEPS)
+        self._state = lanes[:, -1].copy()     # J^_LANES s
+        return out.T.ravel()
+
+    def _fill(self, k: int) -> None:
+        """Make sure at least k outputs are unread."""
+        unread = len(self._buffer) - self._pos
+        if unread >= k:
+            return
+        parts = [self._buffer[self._pos:]]
+        while unread < k:
+            parts.append(self._next_block())
+            unread += _LANES * _STEPS
+        self._buffer = np.concatenate(parts)
+        self._pos = 0
+        self._uniforms = None
+
+    def _take(self, k: int) -> np.ndarray:
+        """The next k outputs."""
+        self._fill(k)
+        self._pos += k
+        return self._buffer[self._pos - k:self._pos]
+
+    def _read_uniforms(self, k: int) -> tuple[list[float], int]:
+        """The buffer as uniform doubles and the read position, with at
+        least k unread; the caller stores its new position in `_pos`."""
+        self._fill(k)
+        if self._uniforms is None:
+            self._uniforms = ((self._buffer >> 11) * 2.0 ** -53).tolist()
+        return self._uniforms, self._pos
+
+    def next_u64(self) -> int:
+        return int(self._take(1)[0])
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        uniforms, pos = self._read_uniforms(1)
+        self._pos = pos + 1
+        return uniforms[pos]
 
     def normal(self) -> float:
         """Standard normal via Box-Muller (one value per pair of uniforms)."""
@@ -81,41 +201,74 @@ class Xoshiro256:
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
+        n = len(items)
+        if n < 2:
+            return
+        picks = self._take(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             items[i], items[j] = items[j], items[i]
 
 
-def _gamma_variate(rng: Xoshiro256, shape: float) -> float:
-    if shape < 1.0:
-        # boost: Gamma(k) = Gamma(k+1) * U^(1/k)
-        u = 1.0 - rng.random()
-        return _gamma_variate(rng, shape + 1.0) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
+def _gamma_variates(rng: Xoshiro256, shape: float, scale: float,
+                    n: int) -> list[float]:
+    """n draws of scale * Gamma(shape, 1), Marsaglia-Tsang.
+
+    Each attempt reads two or three uniforms from `rng`'s buffer and keeps
+    `math`'s log, sqrt and cos (numpy's vectorized log differs from libm
+    by an ulp on some inputs)."""
+    boost = shape < 1.0  # Gamma(k) = Gamma(k+1) * U^(1/k)
+    d = (shape + 1.0 if boost else shape) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.normal()
-        v = 1.0 + c * x
-        if v <= 0.0:
-            continue
-        v = v * v * v
-        u = rng.random()
-        if u < 1.0 - 0.0331 * x * x * x * x:
-            return d * v
-        if u <= 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-            return d * v
+    inv_shape = 1.0 / shape
+    two_pi = 2.0 * math.pi
+    log, sqrt, cos = math.log, math.sqrt, math.cos
+    draws = []
+    uniforms, pos = rng._read_uniforms(_ATTEMPT_READS)
+    last = len(uniforms) - _ATTEMPT_READS
+    for _ in range(n):
+        if pos > last:
+            rng._pos = pos
+            uniforms, pos = rng._read_uniforms(_ATTEMPT_READS)
+            last = len(uniforms) - _ATTEMPT_READS
+        if boost:
+            boost_u = 1.0 - uniforms[pos]
+            pos += 1
+        while True:
+            x = (sqrt(-2.0 * log(1.0 - uniforms[pos]))
+                 * cos(two_pi * uniforms[pos + 1]))
+            v = 1.0 + c * x
+            if v > 0.0:
+                v = v * v * v
+                u = uniforms[pos + 2]
+                pos += 3
+                if (u < 1.0 - 0.0331 * x * x * x * x or u <= 0.0
+                        or log(u) < 0.5 * x * x + d * (1.0 - v + log(v))):
+                    break
+            else:
+                pos += 2
+            if pos > last:
+                rng._pos = pos
+                uniforms, pos = rng._read_uniforms(_ATTEMPT_READS)
+                last = len(uniforms) - _ATTEMPT_READS
+        value = d * v
+        if boost:
+            value = value * boost_u ** inv_shape
+        draws.append(scale * value)
+    rng._pos = pos
+    return draws
 
 
 def sample_gamma(shape: float, scale: float, n: int, seed: int = 0,
                  rng: Xoshiro256 | None = None) -> list[float]:
     """n independent Gamma(shape, scale) draws, deterministic per seed."""
-    if shape <= 0.0 or scale <= 0.0:
-        raise ValueError("gamma parameters must be positive")
+    if not (0.0 < shape < math.inf and 0.0 < scale < math.inf):
+        raise ValueError(f"gamma shape and scale must be positive and finite, "
+                         f"got {shape!r} and {scale!r}")
     if n < 0:
         raise ValueError("sample count must be >= 0")
     if rng is None:
         rng = Xoshiro256(seed)
-    return [scale * _gamma_variate(rng, shape) for _ in range(n)]
+    return _gamma_variates(rng, shape, scale, n)
 
 
 @dataclass(frozen=True)
@@ -135,8 +288,10 @@ class CellSpec:
             raise ValueError(f"unknown length class {self.length_class!r}")
         if self.vowel_class == "ə" and self.length_class == "long":
             raise ValueError("ə has no long counterpart")
-        if self.shape <= 0.0 or self.scale <= 0.0:
-            raise ValueError("cell shape/scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError(
+                f"cell {self.vowel_class}/{self.length_class}: shape and scale "
+                f"must be positive and finite, got {self.shape!r} and {self.scale!r}")
         if self.count < 0:
             raise ValueError("cell count must be >= 0")
 
@@ -169,19 +324,51 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
+        """Parse a spec; an unknown key or a value of the wrong JSON type
+        raises ConfigError (a ValueError) naming the key."""
         obj = json.loads(text)
-        cells = tuple(
-            CellSpec(c["vowel"], c["length"], float(c["shape"]),
-                     float(c["scale"]), int(c["count"]))
-            for c in obj.get("cells", ())
-        )
+        if not isinstance(obj, dict):
+            raise ConfigError("corpus spec must be a JSON object")
+        _check_entry(obj, _SPEC_TYPES)
+        cells = []
+        for i, c in enumerate(obj.get("cells", ())):
+            try:
+                _check_entry(c, _CELL_TYPES)
+                cells.append(CellSpec(c["vowel"], c["length"], float(c["shape"]),
+                                      float(c["scale"]), c["count"]))
+            except ConfigError as exc:
+                raise ConfigError(f"cells[{i}]: {exc}") from None
+            except KeyError as exc:
+                raise ConfigError(f"cells[{i}] is missing key {exc}") from None
+        if "corpus_id" not in obj:
+            raise ConfigError("corpus spec is missing key 'corpus_id'")
         return cls(
             corpus_id=obj["corpus_id"],
-            seed=int(obj.get("seed", 0)),
-            cells=cells,
-            utterance_size=int(obj.get("utterance_size", 10)),
+            seed=obj.get("seed", 0),
+            cells=tuple(cells),
+            utterance_size=obj.get("utterance_size", 10),
             emit_formats=tuple(obj.get("emit_formats", EMIT_FORMATS)),
         )
+
+
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+# The keys CorpusSpec.from_json accepts, at the top level and per cell,
+# each with a check of its JSON value and what the check wants.
+_SPEC_TYPES = {
+    "corpus_id": _STRING,
+    "seed": _INTEGER,
+    "cells": (_list_of(dict), "a list of cell objects"),
+    "utterance_size": _INTEGER,
+    "emit_formats": (_list_of(str), "a list of strings"),
+}
+_CELL_TYPES = {
+    "vowel": _STRING,
+    "length": _STRING,
+    "shape": _NUMBER,
+    "scale": _NUMBER,
+    "count": _INTEGER,
+}
 
 
 @dataclass(frozen=True)
@@ -193,34 +380,30 @@ class SynthCorpus:
     tokens: TokenTable
 
 
-def _format_seconds(units: int) -> str:
-    return f"{units / TIME_UNITS_PER_SECOND:.4f}"
+def _seconds_text(*columns: np.ndarray) -> list[list[str]]:
+    """Equal-length columns of times in units as seconds text, "%.4f";
+    every distinct time is formatted once."""
+    values, inverse = np.unique(np.concatenate(columns), return_inverse=True)
+    text = np.array([f"{u / TIME_UNITS_PER_SECOND:.4f}" for u in values.tolist()],
+                    dtype=object)
+    return [part.tolist() for part in np.split(text[inverse], len(columns))]
 
 
-def _textgrid_text(utt_intervals: list[tuple[int, int, str]], total_units: int) -> str:
-    lines = [
-        'File type = "ooTextFile"',
-        'Object class = "TextGrid"',
-        "",
-        "xmin = 0",
-        f"xmax = {_format_seconds(total_units)}",
-        "tiers? <exists>",
-        "size = 1",
-        "item []:",
-        "    item [1]:",
-        '        class = "IntervalTier"',
-        '        name = "phones"',
-        "        xmin = 0",
-        f"        xmax = {_format_seconds(total_units)}",
-        f"        intervals: size = {len(utt_intervals)}",
-    ]
-    for i, (start, dur, label) in enumerate(utt_intervals, start=1):
-        lines.append(f"        intervals [{i}]:")
-        lines.append(f"            xmin = {_format_seconds(start)}")
-        lines.append(f"            xmax = {_format_seconds(start + dur)}")
-        lines.append(f'            text = "{label}"')
-    lines.append("")
-    return "\n".join(lines)
+_TEXTGRID_HEADER = """File type = "ooTextFile"
+Object class = "TextGrid"
+
+xmin = 0
+xmax = {total}
+tiers? <exists>
+size = 1
+item []:
+    item [1]:
+        class = "IntervalTier"
+        name = "phones"
+        xmin = 0
+        xmax = {total}
+        intervals: size = {size}
+"""
 
 
 def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
@@ -228,58 +411,76 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
 
     Tokens are interleaved with non-vowel filler phones; durations are
     quantized to 0.1 ms at emission and the returned ground-truth tokens
-    carry the quantized values.
+    carry the quantized values.  Raises ValueError naming the cell whose
+    draws are not finite or would make the corpus too long to time
+    exactly.
     """
     rng = Xoshiro256(spec.seed)
-
-    # (cell code, phone label, duration in 0.1 ms units)
-    drawn: list[tuple[int, str, int]] = []
+    cell_units = [np.empty(0)]
+    span_ms = 0.0
     for cell in spec.cells:
-        code = CELLS.index((cell.vowel_class, cell.length_class))
-        label = cell.phone_label
-        for value_ms in sample_gamma(cell.shape, cell.scale, cell.count, rng=rng):
-            units = max(1, round(value_ms * TIME_UNITS_PER_SECOND / 1000.0))
-            drawn.append((code, label, units))
-    rng.shuffle(drawn)
+        ms = np.array(_gamma_variates(rng, cell.shape, cell.scale, cell.count))
+        span_ms += float(ms.max(initial=0.0)) * cell.count
+        if not span_ms <= _MAX_SPAN_MS:
+            raise ValueError(
+                f"cell {cell.vowel_class}/{cell.length_class} (shape "
+                f"{cell.shape!r}, scale {cell.scale!r}): its draws are not "
+                f"finite or the corpus would last over {_MAX_SPAN_MS:.0f} ms")
+        cell_units.append(
+            np.maximum(np.rint(ms * TIME_UNITS_PER_SECOND / 1000.0), 1.0))
+    counts = [cell.count for cell in spec.cells]
+    n = sum(counts)
+    order = list(range(n))
+    rng.shuffle(order)
+    # tokens in shuffled order: duration in units and index into spec.cells
+    units = np.concatenate(cell_units).astype(np.int64)[order]
+    which = np.repeat(np.arange(len(counts), dtype=np.intp), counts)[order]
 
-    utterances: list[tuple[str, list[tuple[int, int, str]]]] = []
-    token_cell: list[int] = []
-    token_ms: list[float] = []
-    token_utterance: list[int] = []
-    n_utts = max(1, math.ceil(len(drawn) / spec.utterance_size))
-    for u in range(n_utts):
-        chunk = drawn[u * spec.utterance_size:(u + 1) * spec.utterance_size]
-        utt_id = f"{spec.corpus_id}-{u:04d}"
-        cursor = 0
-        intervals: list[tuple[int, int, str]] = []
-        intervals.append((cursor, FILLER_UNITS, FILLER_LABEL))
-        cursor += FILLER_UNITS
-        for code, label, units in chunk:
-            intervals.append((cursor, units, label))
-            token_cell.append(code)
-            token_ms.append(units / 10.0)
-            token_utterance.append(u)
-            cursor += units
-            intervals.append((cursor, FILLER_UNITS, FILLER_LABEL))
-            cursor += FILLER_UNITS
-        utterances.append((utt_id, intervals))
+    # Utterance u holds tokens u*size to (u+1)*size - 1, as 1 + 2k
+    # intervals: a filler, then each of its k tokens followed by a filler.
+    size = spec.utterance_size
+    n_utts = max(1, -(-n // size))
+    token_utt = np.arange(n, dtype=np.intp) // size
+    n_intervals = 1 + 2 * np.bincount(token_utt, minlength=n_utts)
+    slot = token_utt + 2 * np.arange(n) + 1
+    dur = np.full(n_utts + 2 * n, FILLER_UNITS, dtype=np.int64)
+    dur[slot] = units
+    label = np.zeros(len(dur), dtype=np.intp)   # 0 is the filler
+    label[slot] = which + 1
+    first = np.cumsum(n_intervals) - n_intervals
+    end = np.cumsum(dur)
+    end -= np.repeat((end - dur)[first], n_intervals)   # from its utterance's start
+    start = end - dur
 
+    utt_ids = [f"{spec.corpus_id}-{u:04d}" for u in range(n_utts)]
+    labels = [FILLER_LABEL] + [cell.phone_label for cell in spec.cells]
+    label_text = np.array(labels, dtype=object)[label].tolist()
     files: dict[str, str] = {}
     if "ctm" in spec.emit_formats:
-        lines = [f"# synthetic corpus {spec.corpus_id} (seed {spec.seed})"]
-        for utt_id, intervals in utterances:
-            for start, dur, label in intervals:
-                lines.append(
-                    f"{utt_id} 1 {_format_seconds(start)} "
-                    f"{_format_seconds(dur)} {label}")
-        files[f"{spec.corpus_id}.ctm"] = "\n".join(lines) + "\n"
+        start_text, dur_text = _seconds_text(start, dur)
+        utt_text = np.repeat(np.array(utt_ids, dtype=object), n_intervals).tolist()
+        # joined a chunk at a time, so that no list of every line is held
+        chunks = [f"# synthetic corpus {spec.corpus_id} (seed {spec.seed})\n"]
+        for a in range(0, len(dur), _CTM_CHUNK):
+            b = a + _CTM_CHUNK
+            chunks.append("".join([
+                f"{u} 1 {t} {d} {lab}\n" for u, t, d, lab in zip(
+                    utt_text[a:b], start_text[a:b], dur_text[a:b], label_text[a:b])]))
+        files[f"{spec.corpus_id}.ctm"] = "".join(chunks)
     if "textgrid" in spec.emit_formats:
-        for utt_id, intervals in utterances:
-            total = intervals[-1][0] + intervals[-1][1] if intervals else 0
-            files[f"{utt_id}.TextGrid"] = _textgrid_text(intervals, total)
+        start_text, end_text = _seconds_text(start, end)
+        position = (np.arange(len(dur)) - np.repeat(first, n_intervals) + 1).tolist()
+        blocks = [f"        intervals [{i}]:\n"
+                  f"            xmin = {a}\n"
+                  f"            xmax = {b}\n"
+                  f'            text = "{lab}"\n'
+                  for i, a, b, lab in zip(position, start_text, end_text, label_text)]
+        for utt_id, a, k in zip(utt_ids, first.tolist(), n_intervals.tolist()):
+            files[f"{utt_id}.TextGrid"] = (
+                _TEXTGRID_HEADER.format(total=end_text[a + k - 1], size=k)
+                + "".join(blocks[a:a + k]))
 
-    tokens = TokenTable(np.array(token_cell, dtype=np.intp),
-                        np.array(token_ms, dtype=np.float64),
-                        tuple(utt_id for utt_id, _ in utterances),
-                        np.array(token_utterance, dtype=np.intp))
+    cell_code = np.array([CELLS.index((cell.vowel_class, cell.length_class))
+                          for cell in spec.cells], dtype=np.intp)
+    tokens = TokenTable(cell_code[which], units / 10.0, tuple(utt_ids), token_utt)
     return SynthCorpus(spec=spec, files=files, tokens=tokens)

@@ -10,10 +10,14 @@ unimodal CDF in sup norm, exhaustive over modal positions).
 package's tie-run dip must equal bit for bit.  CTM files
 are read by a line-at-a-time parser that gives one
 (utterance id, NFC label, start, duration) tuple per line.
+`generate_corpus_scalar` is the synthetic-corpus generator made one
+xoshiro256** step, one gamma variate and one interval tuple at a time,
+which the package's block generator must equal byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 import unicodedata
 
 import numpy as np
@@ -341,3 +345,164 @@ def ctm_line_parser(text: str) -> list[tuple[str, str, float, float]]:
             prev_end = start + interval[3]
             result.append(interval)
     return result
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int) -> list[int]:
+    """The four xoshiro256** state words splitmix64 expands `seed` into."""
+    state = []
+    z = seed & _MASK64
+    for _ in range(4):
+        z = (z + 0x9E3779B97F4A7C15) & _MASK64
+        s = z
+        s = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        s = ((s ^ (s >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state.append(s ^ (s >> 31))
+    return state
+
+
+class ScalarXoshiro256:
+    """xoshiro256** one Python-int step per draw."""
+
+    def __init__(self, seed: int):
+        state = splitmix64(seed)
+        if not any(state):
+            state[0] = 1
+        self._s = state
+
+    @staticmethod
+    def _rotl(x: int, k: int) -> int:
+        return ((x << k) | (x >> (64 - k))) & _MASK64
+
+    def next_u64(self) -> int:
+        s0, s1, s2, s3 = self._s
+        result = (self._rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = self._rotl(s3, 45)
+        self._s = [s0, s1, s2, s3]
+        return result
+
+    def random(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def normal(self) -> float:
+        u1 = 1.0 - self.random()
+        u2 = self.random()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.next_u64() % (i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
+def gamma_variate_scalar(rng: ScalarXoshiro256, shape: float) -> float:
+    """One Marsaglia-Tsang Gamma(shape, 1) variate, with the u^(1/k)
+    boost for shapes below 1."""
+    if shape < 1.0:
+        u = 1.0 - rng.random()
+        return gamma_variate_scalar(rng, shape + 1.0) * u ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.normal()
+        v = 1.0 + c * x
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u = rng.random()
+        if u < 1.0 - 0.0331 * x * x * x * x:
+            return d * v
+        if u <= 0.0 or math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            return d * v
+
+
+def sample_gamma_scalar(shape: float, scale: float, n: int,
+                        rng: ScalarXoshiro256) -> list[float]:
+    return [scale * gamma_variate_scalar(rng, shape) for _ in range(n)]
+
+
+def _format_seconds(units: int) -> str:
+    return f"{units / 10_000:.4f}"
+
+
+def _textgrid_text(utt_intervals, total_units: int) -> str:
+    lines = [
+        'File type = "ooTextFile"',
+        'Object class = "TextGrid"',
+        "",
+        "xmin = 0",
+        f"xmax = {_format_seconds(total_units)}",
+        "tiers? <exists>",
+        "size = 1",
+        "item []:",
+        "    item [1]:",
+        '        class = "IntervalTier"',
+        '        name = "phones"',
+        "        xmin = 0",
+        f"        xmax = {_format_seconds(total_units)}",
+        f"        intervals: size = {len(utt_intervals)}",
+    ]
+    for i, (start, dur, label) in enumerate(utt_intervals, start=1):
+        lines.append(f"        intervals [{i}]:")
+        lines.append(f"            xmin = {_format_seconds(start)}")
+        lines.append(f"            xmax = {_format_seconds(start + dur)}")
+        lines.append(f'            text = "{label}"')
+    lines.append("")
+    return "\n".join(lines)
+
+
+def generate_corpus_scalar(spec):
+    """A `CorpusSpec`'s files and ground truth, made one draw and one
+    interval tuple at a time: (files, cell codes, durations in ms,
+    utterance ids, utterance codes), the last four one entry per token."""
+    from vlcontrast.alignment import CELLS
+
+    rng = ScalarXoshiro256(spec.seed)
+    drawn = []
+    for cell in spec.cells:
+        code = CELLS.index((cell.vowel_class, cell.length_class))
+        for value_ms in sample_gamma_scalar(cell.shape, cell.scale, cell.count, rng):
+            units = max(1, round(value_ms * 10_000 / 1000.0))
+            drawn.append((code, cell.phone_label, units))
+    rng.shuffle(drawn)
+
+    utterances = []
+    token_cell, token_ms, token_utterance = [], [], []
+    n_utts = max(1, math.ceil(len(drawn) / spec.utterance_size))
+    for u in range(n_utts):
+        chunk = drawn[u * spec.utterance_size:(u + 1) * spec.utterance_size]
+        cursor = 0
+        intervals = [(cursor, 500, "sil")]
+        cursor += 500
+        for code, label, units in chunk:
+            intervals.append((cursor, units, label))
+            token_cell.append(code)
+            token_ms.append(units / 10.0)
+            token_utterance.append(u)
+            cursor += units
+            intervals.append((cursor, 500, "sil"))
+            cursor += 500
+        utterances.append((f"{spec.corpus_id}-{u:04d}", intervals))
+
+    files = {}
+    if "ctm" in spec.emit_formats:
+        lines = [f"# synthetic corpus {spec.corpus_id} (seed {spec.seed})"]
+        for utt_id, intervals in utterances:
+            for start, dur, label in intervals:
+                lines.append(f"{utt_id} 1 {_format_seconds(start)} "
+                             f"{_format_seconds(dur)} {label}")
+        files[f"{spec.corpus_id}.ctm"] = "\n".join(lines) + "\n"
+    if "textgrid" in spec.emit_formats:
+        for utt_id, intervals in utterances:
+            total = intervals[-1][0] + intervals[-1][1]
+            files[f"{utt_id}.TextGrid"] = _textgrid_text(intervals, total)
+    return (files, token_cell, token_ms,
+            tuple(utt_id for utt_id, _ in utterances), token_utterance)

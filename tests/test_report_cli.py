@@ -562,6 +562,59 @@ def test_cli_synth_outputs_are_pinned(tmp_path, capsys):
     assert "np." not in truth
 
 
+# For the acceptance corpus written in both formats (20,426 tokens, 1,703
+# utterances, several blocks of the generator's stream), recorded before
+# the generator made its stream in blocks: the CTM's sha256, the sha256
+# of the "name sha256" listing of every file, and the sha256 of the truth
+# rows "cell code, repr of ms, utterance id".
+ACCEPTANCE_PIN_SHA256 = {
+    "ctm": "b782b4636c9d2d6bf4b2b313ec86cd9526b3db3935676c8e6f1a580a065ed8b1",
+    "files": "d30d5de21ca25a5a9a11891fc4e91aab8f5b39242762d522decc78784885cac6",
+    "truth": "1238e3d9a605bb06537f669e4130a00ab195ccdb0ca9339a1c3f553a3245cc85",
+}
+
+
+def test_acceptance_corpus_outputs_are_pinned():
+    from test_acceptance import ACCEPTANCE_CELLS
+
+    spec = CorpusSpec("read-mimic", seed=20250808, cells=ACCEPTANCE_CELLS,
+                      utterance_size=12, emit_formats=("ctm", "textgrid"))
+    corpus = generate_corpus(spec)
+    assert (len(corpus.files), len(corpus.tokens)) == (1704, 20426)
+
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    tokens = corpus.tokens
+    listing = "".join(f"{name} {sha(text)}\n"
+                      for name, text in sorted(corpus.files.items()))
+    truth = "".join(f"{cell} {ms!r} {tokens.utterance_ids[u]}\n"
+                    for cell, ms, u in zip(tokens.cell.tolist(),
+                                           tokens.duration_ms.tolist(),
+                                           tokens.utterance.tolist()))
+    assert {"ctm": sha(corpus.files["read-mimic.ctm"]), "files": sha(listing),
+            "truth": sha(truth)} == ACCEPTANCE_PIN_SHA256
+
+
+@pytest.mark.parametrize("cell, named", [
+    ('"shape": NaN, "scale": 11.5', "a/short"),
+    ('"shape": "Infinity", "scale": 11.5', "'shape'"),
+    ('"shape": Infinity, "scale": 11.5', "a/short"),
+    ('"shape": 6.0, "scale": NaN', "a/short"),
+    ('"shape": 6.0, "scale": 1e308', "a/short"),
+])
+def test_cli_synth_rejects_non_finite_cells(tmp_path, capsys, cell, named):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        '{"corpus_id": "bad", "cells": [{"vowel": "a", "length": "short", '
+        + cell + ', "count": 3}]}', encoding="utf-8")
+    assert cli_main(["synth", "--spec", str(spec_path),
+                     "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_cli_compare_happy_path(tmp_path, capsys):
     ctm, tg_dir = _write_two_corpora(tmp_path)
     config_path = tmp_path / "cfg.json"

@@ -1,7 +1,14 @@
 """Synthetic corpus generator: sampling, emission, round trips."""
 
+import json
+import math
+import warnings
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from oracles import ScalarXoshiro256, generate_corpus_scalar, sample_gamma_scalar
 from tables import rows
 
 from vlcontrast.alignment import (
@@ -12,6 +19,8 @@ from vlcontrast.alignment import (
 )
 from vlcontrast.durations import DurationSampleSet, filter_outliers
 from vlcontrast.features import contrast_report, compute_area
+from vlcontrast import synthgen
+from vlcontrast.alignment import CELLS
 from vlcontrast.gamma import GammaFit
 from vlcontrast.synthgen import (
     CellSpec,
@@ -38,6 +47,10 @@ def test_sample_gamma_rejects_bad_parameters():
         sample_gamma(4.0, -1.0, 5)
     with pytest.raises(ValueError):
         sample_gamma(4.0, 20.0, -1)
+    for shape, scale in ((math.nan, 20.0), (math.inf, 20.0),
+                         (4.0, math.nan), (4.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            sample_gamma(shape, scale, 5)
 
 
 def test_sample_gamma_moments_large_n():
@@ -125,6 +138,10 @@ def test_cell_spec_validation():
         CellSpec("ə", "long", 4.0, 20.0, 5)
     with pytest.raises(ValueError):
         CellSpec("a", "short", -4.0, 20.0, 5)
+    for shape, scale in ((math.nan, 20.0), (math.inf, 20.0),
+                         (4.0, math.nan), (4.0, -math.inf)):
+        with pytest.raises(ValueError, match="cell ɔ/long"):
+            CellSpec("ɔ", "long", shape, scale, 5)
 
 
 def test_corpus_spec_from_json():
@@ -137,6 +154,42 @@ def test_corpus_spec_from_json():
     assert spec.cells[0].phone_label == "a"
     long_label = CellSpec("ɔ", "long", 5.0, 20.0, 1).phone_label
     assert long_label == "ɔɔ"
+
+
+_GOOD_SPEC = {"corpus_id": "j", "seed": 5, "utterance_size": 4,
+              "emit_formats": ["ctm"],
+              "cells": [{"vowel": "a", "length": "short", "shape": 4,
+                         "scale": 20.5, "count": 3}]}
+
+
+@pytest.mark.parametrize("edit, named", [
+    ({"utterance_sise": 3}, "utterance_sise"),
+    ({"seed": "5"}, "'seed'"),
+    ({"seed": True}, "'seed'"),
+    ({"utterance_size": 2.0}, "'utterance_size'"),
+    ({"emit_formats": "ctm"}, "'emit_formats'"),
+    ({"corpus_id": 7}, "'corpus_id'"),
+    ({"cells": {"vowel": "a"}}, "'cells'"),
+    ({"cells": [{"vowel": "a", "length": "short", "shape": 4, "scale": 20,
+                 "count": 2.9}]}, "cells[0]: config key 'count'"),
+    ({"cells": [{"vowel": "a", "length": "short", "shape": "4", "scale": 20,
+                 "count": 2}]}, "cells[0]: config key 'shape'"),
+    ({"cells": [{"vowel": "a", "length": "short", "shape": 4, "scale": 20,
+                 "count": 2, "weight": 1}]}, "cells[0]: unknown config key(s) ['weight']"),
+    ({"cells": [{"vowel": "a", "length": "short", "shape": 4, "count": 2}]},
+     "cells[0] is missing key 'scale'"),
+])
+def test_corpus_spec_from_json_names_the_bad_key(edit, named):
+    assert CorpusSpec.from_json(json.dumps(_GOOD_SPEC)).cells[0].count == 3
+    with pytest.raises(ValueError) as info:
+        CorpusSpec.from_json(json.dumps({**_GOOD_SPEC, **edit}))
+    assert named in str(info.value)
+
+
+def test_corpus_spec_from_json_needs_an_object_with_an_id():
+    for text in ("[]", '"spec"', '{"seed": 1}'):
+        with pytest.raises(ValueError, match="corpus spec"):
+            CorpusSpec.from_json(text)
 
 
 def test_round_trip_durations_within_half_quantum():
@@ -178,3 +231,100 @@ def test_pipeline_closure_large_n():
         filter_outliers(DurationSampleSet("a", "short", "closure", tuple(short))),
         filter_outliers(DurationSampleSet("a", "long", "closure", tuple(long_))))
     assert abs(rep.area - true_area) < 0.03
+
+
+
+# ---------------------------------------------------------------------------
+# The block generator against the one-step-at-a-time referee
+# (tests/oracles.py::generate_corpus_scalar).
+
+SEEDS = st.one_of(st.just(0), st.integers(0, 2**63 - 1),
+                  st.integers(2**63, 2**64 - 1))
+SHAPES = st.one_of(st.floats(0.05, 0.99), st.floats(1.0, 15.0))
+# Up to about 2 x 10^5 draws per example: several blocks of the stream.
+COUNTS = st.one_of(st.integers(0, 40), st.integers(0, 15_000))
+GENERATOR_CELLS = [cell for cell in CELLS if cell != ("ə", "long")]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def corpus_specs(draw):
+    cells = draw(st.lists(st.tuples(st.sampled_from(GENERATOR_CELLS), SHAPES,
+                                    st.floats(0.5, 60.0), COUNTS),
+                          min_size=1, max_size=3))
+    return CorpusSpec(
+        "h", draw(SEEDS),
+        tuple(CellSpec(vowel, length, shape, scale, count)
+              for (vowel, length), shape, scale, count in cells),
+        utterance_size=draw(st.integers(1, 15)),
+        emit_formats=draw(st.sampled_from([("ctm",), ("textgrid",),
+                                           ("textgrid", "ctm")])))
+
+
+@settings(max_examples=12, deadline=None)
+@given(corpus_specs())
+@example(CorpusSpec("several-blocks", 2**64 - 1, (
+    CellSpec("a", "short", 0.6, 30.0, 15_000),
+    CellSpec("ɔ", "long", 5.0, 20.0, 15_000),
+    CellSpec("ə", "short", 1.0, 9.0, 15_000)), utterance_size=15,
+    emit_formats=("textgrid", "ctm")))
+def test_generate_corpus_equals_the_scalar_generator(spec):
+    corpus = generate_corpus(spec)
+    files, cell, ms, utterance_ids, utterance = generate_corpus_scalar(spec)
+    assert list(corpus.files.items()) == list(files.items())
+    assert corpus.tokens.cell.tolist() == cell
+    assert _hex(corpus.tokens.duration_ms.tolist()) == _hex(ms)
+    assert corpus.tokens.utterance_ids == utterance_ids
+    assert corpus.tokens.utterance.tolist() == utterance
+
+
+@settings(max_examples=12, deadline=None)
+@given(SEEDS, SHAPES, st.integers(0, 30_000), SHAPES, st.integers(0, 30_000))
+@example(0, 0.5, 30_000, 7.0, 30_000)
+def test_a_shared_generator_continues_the_scalar_stream(seed, k1, n1, k2, n2):
+    rng, scalar = Xoshiro256(seed), ScalarXoshiro256(seed)
+    assert _hex(sample_gamma(k1, 3.0, n1, rng=rng)) == _hex(
+        sample_gamma_scalar(k1, 3.0, n1, scalar))
+    assert _hex(sample_gamma(k2, 40.0, n2, rng=rng)) == _hex(
+        sample_gamma_scalar(k2, 40.0, n2, scalar))
+    assert rng.next_u64() == scalar.next_u64()
+    assert (rng.random(), rng.normal()) == (scalar.random(), scalar.normal())
+    items, scalar_items = list(range(n1 % 500)), list(range(n1 % 500))
+    rng.shuffle(items)
+    scalar.shuffle(scalar_items)
+    assert items == scalar_items
+    assert [rng.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
+
+
+def test_the_all_zero_seed_guard_matches_the_scalar_stream(monkeypatch):
+    monkeypatch.setattr(synthgen, "_splitmix64", lambda seed: [0, 0, 0, 0])
+    monkeypatch.setattr(oracles, "splitmix64", lambda seed: [0, 0, 0, 0])
+    rng, scalar = Xoshiro256(3), ScalarXoshiro256(3)
+    n = 70_000   # past the first block
+    assert [rng.next_u64() for _ in range(n)] == [scalar.next_u64() for _ in range(n)]
+
+
+def test_the_generator_raises_no_numpy_warning():
+    spec = CorpusSpec("w", 2**64 - 1, (CellSpec("a", "short", 0.4, 30.0, 900),
+                                       CellSpec("i", "long", 9.0, 17.0, 20_000)),
+                      utterance_size=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        synthgen._jump_powers.__wrapped__()
+        generate_corpus(spec)
+        rng = Xoshiro256(2**63)
+        sample_gamma(0.3, 1e300, 100, rng=rng)
+        rng.shuffle(list(range(70_000)))
+
+
+def test_generate_corpus_rejects_draws_it_cannot_time():
+    with pytest.raises(ValueError, match="cell a/long"):
+        generate_corpus(CorpusSpec("big", 1, (
+            CellSpec("a", "short", 4.0, 20.0, 10),
+            CellSpec("a", "long", 4.0, 1e308, 10))))
+    with pytest.raises(ValueError, match="cell i/short"):
+        generate_corpus(CorpusSpec("long", 1, (
+            CellSpec("i", "short", 4.0, 1e14, 100),)))
