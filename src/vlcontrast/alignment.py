@@ -22,7 +22,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain, product
+from itertools import chain, compress, product
 from typing import Callable
 
 import numpy as np
@@ -242,6 +242,7 @@ def load_phone_map(text: str) -> PhoneMap:
 
 _KV_RE = re.compile(r'^\s*([A-Za-z?!]+(?:\s+[A-Za-z?!]+)*)\s*=\s*(.*?)\s*$')
 _ITEM_RE = re.compile(r'^\s*(item|intervals|points)\s*\[\s*\d*\s*\]\s*:\s*$')
+_ITEMS_RE = re.compile(r'^\s*item\s*\[\s*\]\s*:\s*$')  # "item []:", no number
 _SIZE_RE = re.compile(r'^\s*(intervals|points)\s*:\s*size\s*=\s*(.*?)\s*$')
 
 
@@ -352,7 +353,7 @@ def parse_textgrid(text: str, utterance_id: str = ""):
     # optional "item []:" header
     saved = scanner.pos
     item = scanner.next_content()
-    if item is None or not _ITEM_RE.match(item[1]):
+    if item is None or not _ITEMS_RE.match(item[1]):
         scanner.pos = saved
 
     for _ in range(n_tiers):
@@ -426,13 +427,15 @@ def parse_textgrid(text: str, utterance_id: str = ""):
 # ---------------------------------------------------------------------------
 # CTM
 
-# UTF-16 code units that keep a CTM off the column path: whitespace other
-# than " " and "\n" as str.split() and str.splitlines() see it (none lies
-# outside the BMP), and surrogates, whose two units to a character would
-# shift the line offsets off the string's indices.
-_NOT_PLAIN = np.array([chr(c).isspace() and c not in (10, 32) or 0xD800 <= c < 0xE000
-                       for c in range(0x10000)])
-_NEWLINE, _SPACE, _HASH = 10, 32, 35
+# The kind of each UTF-16 code unit as str.split() and str.splitlines()
+# see it: 0 a field character, 1 whitespace within a line, 2 a line
+# break.  No whitespace lies outside the BMP, so surrogates are field
+# characters.  A CTM in any whitespace layout is split and checked as
+# columns, a slice at a time; the line loop only names the first bad line
+# of a file the columns reject.
+_KIND = np.array([ch.isspace() + (ch.splitlines() != [ch])
+                  for ch in map(chr, range(0x10000))], np.uint8)
+_HASH = 35
 
 
 # Characters per slice of a CTM read by the column path; bounds the memory
@@ -452,50 +455,35 @@ def _line_chunks(text: str):
             return
 
 
-def _plain_ctm_fields(text: str) -> list[str] | None:
-    """The fields of the content lines, when every line ends in "\n" (the
-    last may not), is blank or a comment starting with "#" or five fields
-    split by single spaces, and no other whitespace or character outside
-    the BMP occurs.  None for any other text, which `_ctm_line_loop` reads
-    instead."""
-    comments = _plain_ctm_comments(text + "\n" * (not text.endswith("\n")))
-    if comments is None:
+def _ctm_fields(chunk: str) -> list[str] | None:
+    """The fields of the content lines of `chunk`, when every line (as
+    str.splitlines() cuts them) is blank, a comment whose first field
+    starts with "#", or five fields; None otherwise."""
+    # a leading space, so that every field starts after a non-field unit
+    units = np.frombuffer((" " + chunk).encode("utf-16-le", "surrogatepass"),
+                          np.uint16)
+    kind = np.take(_KIND, units)
+    field = kind == 0
+    starts = np.flatnonzero(field[1:] > field[:-1]) + 1
+    # each line's first field, as an index into `starts`; the "\n" of a
+    # "\r\n" ends one more line, a blank one, which passes
+    breaks = np.flatnonzero(kind == 2)
+    first = np.concatenate(([0], np.searchsorted(starts, breaks)))
+    counts = np.diff(first, append=starts.size)
+    some = counts > 0
+    comment = np.zeros(counts.size, bool)
+    comment[some] = units[starts[first[some]]] == _HASH
+    if (some & (counts != 5) & ~comment).any():
         return None
-    if not comments:
-        return text.split()
-    # the text between comment lines: [0, start1), [end1, start2), ...
-    cuts = chain([0], *comments, [len(text)])
-    return list(chain.from_iterable(
-        text[a:b].split() for a, b in zip(cuts, cuts)))
+    fields = chunk.split()
+    if comment.any():
+        fields = list(compress(fields, np.repeat(~comment, counts).tolist()))
+    return fields
 
 
-def _plain_ctm_comments(text: str) -> list[tuple[int, int]] | None:
-    """The (start, end) of each comment line of a plain CTM `text` that
-    ends in "\n" (see `_plain_ctm_fields`), or None if it is not plain."""
-    units = np.frombuffer(text.encode("utf-16-le", "surrogatepass"), np.uint16)
-    if _NOT_PLAIN[units].any():
-        return None
-    ends = np.flatnonzero(units == _NEWLINE)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    comment = units[starts] == _HASH
-    spaces = np.flatnonzero(units == _SPACE)
-    line = np.searchsorted(ends, spaces)
-    content = ~comment[line]
-    spaces, line = spaces[content], line[content]
-    # each space of a content line sits between two field characters
-    around = np.concatenate((units[spaces - 1], units[spaces + 1]))
-    if ((around == _SPACE) | (around == _NEWLINE)).any():
-        return None
-    fields_short = np.bincount(line, minlength=ends.size) != 4
-    if (fields_short & ~comment & (starts < ends)).any():
-        return None
-    return list(zip(starts[comment].tolist(), (ends[comment] + 1).tolist()))
-
-
-def _ctm_line_loop(text: str) -> list[str]:
-    """The fields of the content lines, checked one line at a time, so that
-    a ParseError names the first bad line."""
-    fields: list[str] = []
+def _ctm_line_error(text: str) -> None:
+    """Check a CTM one line at a time and raise a ParseError that names
+    the first bad line."""
     per_utt: dict[str, list[tuple[float, float, int]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -514,7 +502,6 @@ def _ctm_line_loop(text: str) -> list[str]:
         if start < 0.0:
             raise ParseError(f"negative start time {start_s}", lineno)
         per_utt.setdefault(utt, []).append((start, dur, lineno))
-        fields += parts
 
     for utt, items in per_utt.items():
         items.sort(key=lambda t: t[0])
@@ -524,7 +511,6 @@ def _ctm_line_loop(text: str) -> list[str]:
                 raise ParseError(
                     f"overlapping intervals in utterance {utt!r}", lineno)
             prev_end = start + dur
-    return fields
 
 
 def _ctm_columns(fields: list[str], utterances: dict, raw_labels: dict):
@@ -539,20 +525,16 @@ def _ctm_columns(fields: list[str], utterances: dict, raw_labels: dict):
 
 def _ctm_table(text: str) -> IntervalTable | None:
     """The intervals of a CTM, grouped per utterance and sorted by start as
-    `_ctm_line_loop` orders them; None when a value fails a check.  A CTM
-    that is not plain goes through `_ctm_line_loop`, whose ParseError
-    propagates."""
+    `_ctm_line_error` orders them; None when a line or a value fails a
+    check."""
     utterances: dict[str, int] = {}
     raw_labels: dict[str, int] = {}
     parts = []
     try:
         for chunk in _line_chunks(text):
-            fields = _plain_ctm_fields(chunk)
+            fields = _ctm_fields(chunk)
             if fields is None:
-                utterances.clear()
-                raw_labels.clear()
-                parts = [_ctm_columns(_ctm_line_loop(text), utterances, raw_labels)]
-                break
+                return None
             parts.append(_ctm_columns(fields, utterances, raw_labels))
     except ValueError:
         return None
@@ -575,17 +557,19 @@ def _ctm_table(text: str) -> IntervalTable | None:
 
 
 def parse_ctm(text: str) -> IntervalTable:
-    """Parse CTM lines `utt_id channel start_s dur_s phone_label`.
+    r"""Parse CTM lines `utt_id channel start_s dur_s phone_label`.
 
-    `#`-prefixed comment lines and blank lines are allowed.  Output is
-    grouped per utterance (in order of first appearance) and sorted by
-    start within each utterance.  Plain files are split and checked as
-    whole columns; any other file, and any file that fails a check, is
-    read line by line, so that a ParseError names the first bad line.
+    Fields may be split by any whitespace, and lines end as
+    str.splitlines() ends them ("\n", "\r\n", "\r", ...).  `#`-prefixed
+    comment lines and blank lines are allowed.  Output is grouped per
+    utterance (in order of first appearance) and sorted by start within
+    each utterance.  The file is split and checked as columns, a slice at
+    a time; only a file that fails a check is read again line by line, so
+    that the ParseError names the first bad line.
     """
     table = _ctm_table(text)
     if table is None:
-        _ctm_line_loop(text)
+        _ctm_line_error(text)
         raise AssertionError("the column checks rejected a CTM the line loop accepts")
     return table
 

@@ -25,6 +25,7 @@ as columns and each distinct time is formatted once.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
@@ -132,9 +133,8 @@ def _jump_powers() -> tuple[np.ndarray, ...]:
 class Xoshiro256:
     """xoshiro256** PRNG, fully reproducible, made a block at a time.
 
-    `next_u64`, `random`, `normal`, `shuffle` and `sample_gamma(rng=...)`
-    all read one buffered stream, equal to stepping the generator once
-    per draw."""
+    `next_u64`, `shuffle` and `sample_gamma(rng=...)` all read one
+    buffered stream, equal to stepping the generator once per draw."""
 
     def __init__(self, seed: int):
         state = _splitmix64(seed)
@@ -186,18 +186,6 @@ class Xoshiro256:
 
     def next_u64(self) -> int:
         return int(self._take(1)[0])
-
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        uniforms, pos = self._read_uniforms(1)
-        self._pos = pos + 1
-        return uniforms[pos]
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (one value per pair of uniforms)."""
-        u1 = 1.0 - self.random()  # (0, 1]
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""
@@ -268,7 +256,11 @@ def sample_gamma(shape: float, scale: float, n: int, seed: int = 0,
         raise ValueError("sample count must be >= 0")
     if rng is None:
         rng = Xoshiro256(seed)
-    return _gamma_variates(rng, shape, scale, n)
+    draws = _gamma_variates(rng, shape, scale, n)
+    if not all(map(math.isfinite, draws)):
+        raise ValueError(f"a Gamma(shape={shape!r}, scale={scale!r}) draw "
+                         "overflows to inf")
+    return draws
 
 
 @dataclass(frozen=True)
@@ -406,6 +398,19 @@ item []:
 """
 
 
+# glibc's malloc_trim, or None where the C library has none.  Once a large
+# block has been freed, glibc serves blocks up to that size from the heap,
+# and freed heap pages stay resident; the ~100 MB a 200k-token corpus
+# passes through would then stay with the caller, and whether a later
+# large allocation reuses it or maps fresh pages varies from run to run.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+    _malloc_trim.restype = ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
     """Draw all cells, pack tokens into utterances, emit alignment files.
 
@@ -413,8 +418,15 @@ def generate_corpus(spec: CorpusSpec) -> SynthCorpus:
     quantized to 0.1 ms at emission and the returned ground-truth tokens
     carry the quantized values.  Raises ValueError naming the cell whose
     draws are not finite or would make the corpus too long to time
-    exactly.
+    exactly.  The memory freed on the way is handed back to the system.
     """
+    corpus = _generate_corpus(spec)
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+    return corpus
+
+
+def _generate_corpus(spec: CorpusSpec) -> SynthCorpus:
     rng = Xoshiro256(spec.seed)
     cell_units = [np.empty(0)]
     span_ms = 0.0

@@ -67,6 +67,16 @@ def test_textgrid_empty_tier():
     assert [(name, rows(table)) for name, table in tiers] == [("phones", [])]
 
 
+def test_textgrid_optional_item_header():
+    # "item []:" may be left out; the first tier's "item [1]:" is not it
+    text = one_tier_textgrid([(0.0, 0.25, "a"), (0.25, 1.0, "ee")])
+    without = text.replace("item []:\n", "")
+    assert without != text
+    assert ([(name, rows(table)) for name, table in parse_textgrid(without)]
+            == [(name, rows(table)) for name, table in parse_textgrid(text)]
+            == [("phones", [("", "a", 0.0, 0.25), ("", "ee", 0.25, 0.75)])])
+
+
 def test_textgrid_xmax_before_xmin_names_line():
     text = one_tier_textgrid([(0.30, 0.10, "a")])
     with pytest.raises(ParseError) as err:

@@ -14,8 +14,8 @@ from vlcontrast.alignment import ParseError, parse_ctm, parse_textgrid
 
 UTTERANCES = ("u1", "u2", "spk-3", "#u4")  # a line starting "#" is a comment
 LABELS = ("a", "aa", "\u00e9", "e\u0301", "sil", "#h", "ɛɛ", "a:", "\U0001d44e")
-SEPARATORS = (" ", "  ", "\t", " \t", "\u3000")
-LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", " ")
+SEPARATORS = (" ", "  ", "\t", " \t", "\u3000", "\x1f", "\xa0")
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
 COMMENTS = ("# a comment", "#", "  # indented", "#\tx y z")
 BLANKS = ("", "   ", "\t")
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -101,11 +101,12 @@ CHUNK_SIZES = st.sampled_from((1, 9, 40, alignment._CHUNK_CHARS))
 @SETTINGS
 @given(ctm_texts(), CHUNK_SIZES)
 def test_ctm_columns_equal_the_line_parser(case, chunk):
-    plain, text = case
+    _, text = case
+    expected = _outcome(ctm_line_parser, text)
     with mock.patch.object(alignment, "_CHUNK_CHARS", chunk):
-        assert _outcome(_parse_ctm_rows, text) == _outcome(ctm_line_parser, text)
-    if plain and "\U0001d44e" not in text:
-        assert alignment._plain_ctm_fields(text) is not None  # the column path ran
+        assert _outcome(_parse_ctm_rows, text) == expected
+        if expected[0] == "ok":
+            assert alignment._ctm_table(text) is not None  # the column path ran
 
 
 def _bad_line(draw):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from tables import rows
 
+from vlcontrast import alignment
 from vlcontrast.cli import main as cli_main
 from vlcontrast.features import ContrastReport
 from vlcontrast.gamma import GammaFit
@@ -106,6 +107,34 @@ def test_features_json_round_trips_exactly(mimic_run):
         (out / "read-mimic" / "features.json").read_text(encoding="utf-8"))
     recovered = [report_from_dict(obj) for obj in payload["reports"]]
     assert recovered == result.reports["read-mimic"]
+
+
+def test_kaldi_style_ctm_gives_the_same_outputs_on_the_column_path(
+        mimic_run, tmp_path, monkeypatch):
+    # tabs, channel "A" and CRLF line ends, as Kaldi-style aligners write
+    _, _, out = mimic_run
+    plain = (out.parent / "read-mimic.ctm").read_text(encoding="utf-8")
+    header, *lines = plain.splitlines()  # a comment, then five fields a line
+    kaldi = header + "\r\n" + "".join(
+        "\t".join((utt, "A", start, dur, label)) + "\r\n"
+        for utt, _, start, dur, label in map(str.split, lines))
+    ctm = tmp_path / "read-mimic.ctm"
+    ctm.write_bytes(kaldi.encode("utf-8"))
+
+    def no_line_loop(text):
+        raise AssertionError("the line loop read a well-formed CTM")
+
+    monkeypatch.setattr(alignment, "_ctm_line_error", no_line_loop)
+    assert rows(alignment.parse_ctm(kaldi)) == rows(alignment.parse_ctm(plain))
+    run_analysis(AnalysisConfig(
+        corpora=(CorpusSource("read-mimic", (str(ctm),), "ctm"),),
+        output_dir=str(tmp_path / "out")))
+    names = ["features.csv", "diagnostics.json"] + sorted(
+        path.name for path in (out / "read-mimic").glob("plot_*.csv"))
+    assert len(names) == 9
+    for name in names:
+        assert (tmp_path / "out" / "read-mimic" / name).read_bytes() == (
+            out / "read-mimic" / name).read_bytes(), name
 
 
 def test_markdown_column_order_and_rounding(mimic_run):
@@ -991,7 +1020,7 @@ def test_per_speaker_counts_speakers_of_vowel_tokens_only(tmp_path):
 def test_run_reads_plain_crlf_and_textgrid_corpora(tmp_path):
     ctm = _small_ctm_config(tmp_path)
     config = json.loads(ctm.read_text(encoding="utf-8"))
-    crlf = tmp_path / "crlf.ctm"  # not plain: read by the line loop
+    crlf = tmp_path / "crlf.ctm"
     crlf.write_bytes((tmp_path / "small.ctm").read_bytes().replace(b"\n", b"\r\n"))
     _, tg_dir = _write_two_corpora(tmp_path)
     result = run_analysis(AnalysisConfig(

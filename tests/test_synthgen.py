@@ -51,6 +51,10 @@ def test_sample_gamma_rejects_bad_parameters():
                          (4.0, math.nan), (4.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
             sample_gamma(shape, scale, 5)
+    # a finite but huge scale: the first draw is 1.43e308, the next two inf
+    assert sample_gamma(4.0, 1e308, 1, seed=1)[0] > 1e308
+    with pytest.raises(ValueError, match=r"shape=4\.0, scale=1e\+308"):
+        sample_gamma(4.0, 1e308, 3, seed=1)
 
 
 def test_sample_gamma_moments_large_n():
@@ -71,8 +75,6 @@ def test_rng_is_stable_across_calls():
     first = [rng.next_u64() for _ in range(4)]
     rng2 = Xoshiro256(42)
     assert [rng2.next_u64() for _ in range(4)] == first
-    u = Xoshiro256(7).random()
-    assert 0.0 <= u < 1.0
 
 
 def test_generate_corpus_single_cell_matches_draw_log():
@@ -291,7 +293,6 @@ def test_a_shared_generator_continues_the_scalar_stream(seed, k1, n1, k2, n2):
     assert _hex(sample_gamma(k2, 40.0, n2, rng=rng)) == _hex(
         sample_gamma_scalar(k2, 40.0, n2, scalar))
     assert rng.next_u64() == scalar.next_u64()
-    assert (rng.random(), rng.normal()) == (scalar.random(), scalar.normal())
     items, scalar_items = list(range(n1 % 500)), list(range(n1 % 500))
     rng.shuffle(items)
     scalar.shuffle(scalar_items)
