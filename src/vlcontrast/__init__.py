@@ -22,7 +22,6 @@ from .alignment import (  # noqa: E402
 )
 from .durations import (  # noqa: E402
     DurationSampleSet,
-    Histogram,
     build_histogram,
     collect_cells,
     filter_outliers,
@@ -73,7 +72,6 @@ __all__ = [
     "DegenerateDataError",
     "DurationSampleSet",
     "GammaFit",
-    "Histogram",
     "IntervalTable",
     "NoInteriorModeError",
     "ParseError",

@@ -441,14 +441,18 @@ _HASH = 35
 # Characters per slice of a CTM read by the column path; bounds the memory
 # that split fields take at once.
 _CHUNK_CHARS = 1 << 18
+# A line break as str.splitlines() knows it, "\r\n" as one.
+_LINE_BREAK = re.compile("\r\n|[%s]" % re.escape(
+    "".join(map(chr, np.flatnonzero(_KIND == 2)))))
 
 
 def _line_chunks(text: str):
     """`text` in slices of about `_CHUNK_CHARS` characters, each ending
-    after a "\n" or at the end of `text`."""
+    after a line break or at the end of `text`."""
     pos = 0
     while True:
-        end = text.find("\n", pos + _CHUNK_CHARS) + 1 or len(text)
+        found = _LINE_BREAK.search(text, pos + _CHUNK_CHARS)
+        end = found.end() if found else len(text)
         yield text[pos:end]
         pos = end
         if pos >= len(text):

@@ -6,7 +6,6 @@ corpus.  All durations are milliseconds, strictly positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,6 @@ from .alignment import CELLS, TokenTable
 
 __all__ = [
     "DurationSampleSet",
-    "Histogram",
     "filter_outliers",
     "build_histogram",
     "collect_cells",
@@ -75,40 +73,14 @@ def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
                              cell.corpus_id, cell.samples[keep])
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Fixed-width histogram from 0 ms; densities sum*width to 1."""
-
-    bin_width_ms: float
-    counts: tuple[int, ...]
-    densities: tuple[float, ...]  # count / (n * width), unit 1/ms
-
-    @property
-    def nbins(self) -> int:
-        return len(self.counts)
-
-    def density_at(self, x: float) -> float:
-        """Step-function value of the density at x (0 outside all bins)."""
-        if x < 0.0 or not self.counts:
-            return 0.0
-        idx = int(x // self.bin_width_ms)
-        if idx >= len(self.densities):
-            return 0.0
-        return self.densities[idx]
-
-
-def build_histogram(cell: DurationSampleSet, bin_width_ms: float = 10.0) -> Histogram:
-    """Histogram with bins [0,w), [w,2w), ... covering max(samples)."""
+def build_histogram(cell: DurationSampleSet, bin_width_ms: float) -> np.ndarray:
+    """Read-only counts of the cell's samples in the bins [0, w), [w, 2w),
+    ... up to the bin holding max(samples); empty for an empty cell."""
     if bin_width_ms <= 0.0:
         raise ValueError("bin width must be positive")
-    if cell.n == 0:
-        return Histogram(bin_width_ms, (), ())
-    nbins = int(math.floor(cell.samples.max() / bin_width_ms)) + 1
-    idx = np.floor(cell.samples / bin_width_ms).astype(int)
-    counts = np.bincount(idx, minlength=nbins)
-    densities = counts / (cell.n * bin_width_ms)
-    return Histogram(bin_width_ms, tuple(int(c) for c in counts),
-                     tuple(float(d) for d in densities))
+    counts = np.bincount(np.floor(cell.samples / bin_width_ms).astype(int))
+    counts.flags.writeable = False
+    return counts
 
 
 def collect_cells(tokens: TokenTable, corpus_id: str):

@@ -21,6 +21,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .alignment import (
     ParseError,
@@ -58,6 +60,10 @@ VOWEL_SLUGS = {"i": "i", "e": "e", "ɛ": "eh", "a": "a", "ɔ": "oh",
 
 TABLE_COLUMNS = ("vowel", "n_short", "n_long", "mu_short_ms", "mu_long_ms",
                  "r1", "r2", "area", "delta_ms", "significant", "flags", "error")
+
+# The feature-table file of each output format, in the default order.
+FORMAT_FILES = {"csv": "features.csv", "json": "features.json",
+                "markdown": "features.md"}
 
 R1_UNDEFINED_MARK = "NA(no-long-mass)"
 R2_UNDEFINED_MARK = "NA(no-short-mass)"
@@ -124,11 +130,15 @@ class AnalysisConfig:
     phone_map_path: str | None = None
     bin_width_ms: float = 10.0
     outlier_filtering: bool = True
-    output_formats: tuple[str, ...] = ("csv", "json", "markdown")
+    output_formats: tuple[str, ...] = tuple(FORMAT_FILES)
     comparisons: tuple[tuple[str, str], ...] = ()
     speaker_from: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "corpora", tuple(self.corpora))
+        object.__setattr__(self, "output_formats", tuple(self.output_formats))
+        object.__setattr__(self, "comparisons",
+                           tuple(tuple(pair) for pair in self.comparisons))
         if not self.corpora:
             raise ConfigError("config lists zero corpora")
         ids = [c.corpus_id for c in self.corpora]
@@ -145,8 +155,9 @@ class AnalysisConfig:
         if not (math.isfinite(self.bin_width_ms) and self.bin_width_ms > 0):
             raise ConfigError("config key 'bin_width_ms' must be a positive "
                               f"finite number, got {self.bin_width_ms!r}")
+        object.__setattr__(self, "bin_width_ms", float(self.bin_width_ms))
         for fmt in self.output_formats:
-            if fmt not in ("csv", "json", "markdown"):
+            if fmt not in FORMAT_FILES:
                 raise ConfigError(f"unknown output format {fmt!r}")
         outputs: dict[str, tuple[str, str]] = {}
         for a, b in self.comparisons:
@@ -183,19 +194,14 @@ class AnalysisConfig:
                 )
                 for c in obj.get("corpora", ())
             )
-            return cls(
-                corpora=corpora,
-                output_dir=obj["output_dir"],
-                phone_map_path=obj.get("phone_map"),
-                bin_width_ms=float(obj.get("bin_width_ms", 10.0)),
-                outlier_filtering=obj.get("outlier_filtering", True),
-                output_formats=tuple(obj.get("output_formats",
-                                             ("csv", "json", "markdown"))),
-                comparisons=tuple((a, b) for a, b in obj.get("comparisons", ())),
-                speaker_from=obj.get("speaker_from"),
-            )
         except KeyError as exc:
             raise ConfigError(f"config is missing key {exc}") from exc
+        if "output_dir" not in obj:
+            raise ConfigError("config is missing key 'output_dir'")
+        # the keys the JSON gives; the dataclass holds every default
+        fields = {"phone_map_path" if key == "phone_map" else key: value
+                  for key, value in obj.items()}
+        return cls(**dict(fields, corpora=corpora))
 
     def canonical_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
@@ -336,33 +342,34 @@ def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> float:
     return limit
 
 
-def emit_plotdata(report: ContrastReport, histograms) -> str:
+def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float) -> str:
     """CSV with histogram step densities and fitted curves for one vowel.
 
     Columns: x_ms, hist_density_short, hist_density_long, pdf_short,
-    pdf_long.  x runs over the union of histogram bin centers and a 1 ms
-    grid across [0, U]; enough to re-render the usual histogram +
-    density-curve figures in any plotter.
+    pdf_long.  x runs over the union of the bin centers of the vowel's
+    cells in the (vowel, length) map `cells` and a 1 ms grid across
+    [0, U]; enough to re-render the usual histogram + density-curve
+    figures in any plotter.
     """
     if report.fit_short is None or report.fit_long is None:
         raise ValueError(
             f"plot data needs successful fits for vowel {report.vowel_class!r}"
             + (f" ({report.error})" if report.error else ""))
-    hist_short, hist_long = histograms
+    counts = [build_histogram(cells[(report.vowel_class, length)], bin_width_ms)
+              for length in ("short", "long")]
     upper = _plot_upper_limit(report.fit_short, report.fit_long)
-    xs = set(float(x) for x in range(0, int(math.ceil(upper)) + 1))
-    for hist in (hist_short, hist_long):
-        for i in range(hist.nbins):
-            xs.add((i + 0.5) * hist.bin_width_ms)
+    xs = np.unique(np.concatenate(
+        [np.arange(int(math.ceil(upper)) + 1, dtype=np.float64)]
+        + [(np.arange(c.size) + 0.5) * bin_width_ms for c in counts]))
+    # each bin's density count / (n * w), then 0 for every x past the last bin
+    columns = [np.append(c / (c.sum() * bin_width_ms), 0.0)[
+        np.minimum(xs // bin_width_ms, c.size).astype(np.intp)].tolist()
+        for c in counts]
+    fit_s, fit_l = report.fit_short, report.fit_long
     lines = ["x_ms,hist_density_short,hist_density_long,pdf_short,pdf_long"]
-    for x in sorted(xs):
-        lines.append(",".join([
-            repr(x),
-            repr(hist_short.density_at(x)),
-            repr(hist_long.density_at(x)),
-            repr(gamma_pdf(report.fit_short, x)),
-            repr(gamma_pdf(report.fit_long, x)),
-        ]))
+    for x, hist_s, hist_l in zip(xs.tolist(), *columns):
+        lines.append(f"{x!r},{hist_s!r},{hist_l!r},"
+                     f"{gamma_pdf(fit_s, x)!r},{gamma_pdf(fit_l, x)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -545,23 +552,17 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
             result.reports[source.corpus_id] = reports
             corpus_dir = out_root / source.corpus_id
 
-            fmt_files = {"csv": "features.csv", "json": "features.json",
-                         "markdown": "features.md"}
             for fmt in config.output_formats:
                 if reports:
-                    path = corpus_dir / fmt_files[fmt]
+                    path = corpus_dir / FORMAT_FILES[fmt]
                     write_atomic(path, emit_table(reports, fmt))
                     result.output_paths.append(path)
 
             for report in reports:
                 if report.fit_short is None or report.fit_long is None:
                     continue
-                hist_s = build_histogram(cells[(report.vowel_class, "short")],
-                                         config.bin_width_ms)
-                hist_l = build_histogram(cells[(report.vowel_class, "long")],
-                                         config.bin_width_ms)
                 path = corpus_dir / f"plot_{VOWEL_SLUGS[report.vowel_class]}.csv"
-                write_atomic(path, emit_plotdata(report, (hist_s, hist_l)))
+                write_atomic(path, emit_plotdata(report, cells, config.bin_width_ms))
                 result.output_paths.append(path)
 
             diagnostics = _diagnostics(cells)

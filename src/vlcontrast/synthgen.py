@@ -176,13 +176,15 @@ class Xoshiro256:
         self._pos += k
         return self._buffer[self._pos - k:self._pos]
 
-    def _read_uniforms(self, k: int) -> tuple[list[float], int]:
-        """The buffer as uniform doubles and the read position, with at
-        least k unread; the caller stores its new position in `_pos`."""
-        self._fill(k)
+    def _read_uniforms(self, pos: int) -> tuple[list[float], int, int]:
+        """Take `pos` as the read position, then return the buffer as
+        uniform doubles, the read position in it and the last position
+        from which `_ATTEMPT_READS` uniforms are unread."""
+        self._pos = pos
+        self._fill(_ATTEMPT_READS)
         if self._uniforms is None:
             self._uniforms = ((self._buffer >> 11) * 2.0 ** -53).tolist()
-        return self._uniforms, self._pos
+        return self._uniforms, self._pos, len(self._uniforms) - _ATTEMPT_READS
 
     def next_u64(self) -> int:
         return int(self._take(1)[0])
@@ -211,13 +213,10 @@ def _gamma_variates(rng: Xoshiro256, shape: float, scale: float,
     two_pi = 2.0 * math.pi
     log, sqrt, cos = math.log, math.sqrt, math.cos
     draws = []
-    uniforms, pos = rng._read_uniforms(_ATTEMPT_READS)
-    last = len(uniforms) - _ATTEMPT_READS
+    uniforms, pos, last = rng._read_uniforms(rng._pos)
     for _ in range(n):
         if pos > last:
-            rng._pos = pos
-            uniforms, pos = rng._read_uniforms(_ATTEMPT_READS)
-            last = len(uniforms) - _ATTEMPT_READS
+            uniforms, pos, last = rng._read_uniforms(pos)
         if boost:
             boost_u = 1.0 - uniforms[pos]
             pos += 1
@@ -234,10 +233,8 @@ def _gamma_variates(rng: Xoshiro256, shape: float, scale: float,
                     break
             else:
                 pos += 2
-            if pos > last:
-                rng._pos = pos
-                uniforms, pos = rng._read_uniforms(_ATTEMPT_READS)
-                last = len(uniforms) - _ATTEMPT_READS
+            if pos > last:  # after a rejected attempt
+                uniforms, pos, last = rng._read_uniforms(pos)
         value = d * v
         if boost:
             value = value * boost_u ** inv_shape

@@ -13,6 +13,9 @@ are read by a line-at-a-time parser that gives one
 `generate_corpus_scalar` is the synthetic-corpus generator made one
 xoshiro256** step, one gamma variate and one interval tuple at a time,
 which the package's block generator must equal byte for byte.
+`emit_plotdata_scalar` is the plot-file emitter made with a set-and-sort
+x grid and a per-row step-function lookup, which the package's column
+emitter must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -506,3 +509,49 @@ def generate_corpus_scalar(spec):
             files[f"{utt_id}.TextGrid"] = _textgrid_text(intervals, total)
     return (files, token_cell, token_ms,
             tuple(utt_id for utt_id, _ in utterances), token_utterance)
+
+
+def _density_at(bin_width_ms: float, densities: tuple, x: float) -> float:
+    """Step-function value of a histogram's density at x (0 outside all
+    bins)."""
+    if x < 0.0 or not densities:
+        return 0.0
+    idx = int(x // bin_width_ms)
+    if idx >= len(densities):
+        return 0.0
+    return densities[idx]
+
+
+def _densities(samples, bin_width_ms: float) -> tuple:
+    """count / (n * width) per bin [0,w), [w,2w), ... covering max(samples)."""
+    if not len(samples):
+        return ()
+    nbins = int(math.floor(max(samples) / bin_width_ms)) + 1
+    idx = np.floor(np.asarray(samples) / bin_width_ms).astype(int)
+    counts = np.bincount(idx, minlength=nbins)
+    return tuple(float(d) for d in counts / (len(samples) * bin_width_ms))
+
+
+def emit_plotdata_scalar(report, cells, bin_width_ms: float) -> str:
+    """The plot CSV of one vowel: x over the set of the 1 ms grid and both
+    histograms' bin centers, sorted, each row looked up one x at a time."""
+    from vlcontrast.gamma import gamma_pdf
+    from vlcontrast.report import _plot_upper_limit
+
+    hists = [_densities(cells[(report.vowel_class, length)].samples, bin_width_ms)
+             for length in ("short", "long")]
+    upper = _plot_upper_limit(report.fit_short, report.fit_long)
+    xs = set(float(x) for x in range(0, int(math.ceil(upper)) + 1))
+    for densities in hists:
+        for i in range(len(densities)):
+            xs.add((i + 0.5) * bin_width_ms)
+    lines = ["x_ms,hist_density_short,hist_density_long,pdf_short,pdf_long"]
+    for x in sorted(xs):
+        lines.append(",".join([
+            repr(x),
+            repr(_density_at(bin_width_ms, hists[0], x)),
+            repr(_density_at(bin_width_ms, hists[1], x)),
+            repr(gamma_pdf(report.fit_short, x)),
+            repr(gamma_pdf(report.fit_long, x)),
+        ]))
+    return "\n".join(lines) + "\n"

@@ -150,6 +150,49 @@ def test_textgrid_content_after_last_tier_names_line():
     assert "item [2]:" in two_tiers.splitlines()[err.value.line - 1]
 
 
+# (text replaced in a one-interval file, with what, the message, the line
+# it names): every ParseError site of the TextGrid scanner once.  The file:
+#   1 File type   2 Object class   3 (blank)   4 xmin   5 xmax
+#   6 tiers?   7 size   8 item []:   9 item [1]:   10 class   11 name
+#   12 xmin   13 xmax   14 intervals: size   15 intervals [1]:
+#   16 xmin   17 xmax   18 text
+TEXTGRID_ERRORS = (
+    ('Object class = "TextGrid"', 'Object class = "Sound"',
+     "not a TextGrid object: 'Object class = \"Sound\"'", 2),
+    ("xmin = 0\nxmax = 1.0\ntiers?", "xmin = 2\nxmax = 1.0\ntiers?",
+     "file xmax 1.0 < xmin 2.0", 5),
+    ("tiers? <exists>", "tiers <exists>",
+     "expected tiers? flag, got 'tiers <exists>'", 6),
+    ("    item [1]:", "    tier [1]:",
+     "expected tier item header, got 'tier [1]:'", 9),
+    ("intervals: size = 1", "intervals size = 1",
+     "expected intervals/points size, got 'intervals size = 1'", 14),
+    ('class = "IntervalTier"', 'class = "TierOfSomething"',
+     "unknown tier class 'TierOfSomething'", 14),  # names the size line
+    ("intervals [1]:", "interval 1:",
+     "expected interval header, got 'interval 1:'", 15),
+    ("xmax = 0.25", "xmax = 0.1", "zero-length interval with label 'a'", 17),
+    ('name = "phones"', "name = phones",
+     "expected quoted string, got 'phones'", 11),
+    ('class = "IntervalTier"', 'klass = "IntervalTier"',
+     "expected 'class' assignment, got 'klass = \"IntervalTier\"'", 10),
+)
+
+
+@pytest.mark.parametrize("old, new, message, line", TEXTGRID_ERRORS)
+def test_textgrid_error_names_message_and_line(old, new, message, line):
+    text = one_tier_textgrid([(0.1, 0.25, "a")])
+    assert old in text
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(text.replace(old, new, 1))
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+
+
+def test_textgrid_without_tiers_has_none():
+    text = one_tier_textgrid([(0.1, 0.25, "a")])
+    assert parse_textgrid(text.replace("tiers? <exists>", "tiers? <absent>")) == []
+
+
 def test_textgrid_overlap_rejected():
     text = one_tier_textgrid([(0.0, 0.5, "a"), (0.4, 0.9, "e")])
     with pytest.raises(ParseError) as err:

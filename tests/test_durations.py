@@ -107,31 +107,30 @@ def test_filter_outliers_is_submultiset_within_bounds():
 
 
 def test_histogram_two_points():
-    h = build_histogram(cell([70.0, 130.0]), 10.0)
-    assert h.nbins == 14  # bins [0,10) .. [130,140)
-    assert h.counts[7] == 1 and h.counts[13] == 1
-    assert sum(h.counts) == 2
-    assert h.densities[7] == pytest.approx(0.05)
-    assert h.densities[13] == pytest.approx(0.05)
-    assert h.density_at(70.0) == pytest.approx(0.05)
-    assert h.density_at(69.999) == 0.0
-    assert h.density_at(1e6) == 0.0
+    counts = build_histogram(cell([70.0, 130.0]), 10.0)
+    assert counts.size == 14  # bins [0,10) .. [130,140)
+    assert counts[7] == 1 and counts[13] == 1
+    assert counts.sum() == 2
+    densities = counts / (counts.sum() * 10.0)
+    assert densities[7] == pytest.approx(0.05)
+    assert densities[13] == pytest.approx(0.05)
+    assert not counts.flags.writeable
 
 
 def test_histogram_normalization():
     rng = np.random.default_rng(31)
     for _ in range(10):
         data = rng.gamma(4.0, 20.0, int(rng.integers(1, 500)))
-        h = build_histogram(cell(data), rng.uniform(1.0, 25.0))
-        assert sum(h.counts) == len(data)
-        assert sum(d * h.bin_width_ms for d in h.densities) == pytest.approx(
-            1.0, abs=1e-9)
+        width = rng.uniform(1.0, 25.0)
+        counts = build_histogram(cell(data), width)
+        assert counts.sum() == len(data)
+        densities = counts / (len(data) * width)
+        assert sum(d * width for d in densities) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_histogram_empty():
-    h = build_histogram(cell([]), 10.0)
-    assert h.nbins == 0
-    assert h.counts == () and h.densities == ()
+    counts = build_histogram(cell([]), 10.0)
+    assert counts.size == 0
 
 
 def test_histogram_rejects_bad_width():
@@ -143,11 +142,11 @@ def test_histogram_matches_analytic_bin_probabilities():
     # oracle: gamma bin mass from the regularized incomplete gamma function
     k, theta, width = 4.0, 20.0, 10.0
     draws = sample_gamma(k, theta, 10_000, seed=424242)
-    h = build_histogram(cell(draws), width)
-    for i in range(h.nbins):
+    counts = build_histogram(cell(draws), width)
+    for i, density in enumerate(counts / (len(draws) * width)):
         lo, hi = i * width, (i + 1) * width
         p = gammainc(k, hi / theta) - gammainc(k, lo / theta)
-        assert abs(h.densities[i] - p / width) < 0.002
+        assert abs(density - p / width) < 0.002
 
 
 def test_collect_cells_groups_by_vowel_and_length():

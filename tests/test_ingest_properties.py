@@ -222,3 +222,20 @@ def test_ctm_fields_are_counted_per_line():
         parse_ctm(text)
     assert (str(err.value), err.value.line) == (
         "line 1: expected 5 fields (utt channel start dur phone), got 4", 1)
+
+
+@pytest.mark.parametrize("end", LINE_ENDS)
+def test_ctm_slices_end_at_every_kind_of_line_break(end):
+    # three slices' worth of lines: every line break, not only "\n", ends a
+    # slice, so the slice bound holds for any line ending
+    lines = [f"utt{i // 40} 1 {i % 40 / 10:.1f} 0.1 a{i % 7}"
+             for i in range(3 * alignment._CHUNK_CHARS // 20)]
+    text = end.join(lines) + end
+    chunks = list(alignment._line_chunks(text))
+    assert len(chunks) > 1
+    assert "".join(chunks) == text
+    assert all(chunk.endswith(end) for chunk in chunks)
+    assert max(map(len, chunks)) < alignment._CHUNK_CHARS + 40
+    assert alignment._ctm_table(text) is not None  # the column path ran
+    assert _outcome(_parse_ctm_rows, text) == _outcome(
+        _parse_ctm_rows, "\n".join(lines) + "\n")

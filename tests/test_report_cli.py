@@ -6,11 +6,14 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 from tables import rows
 
 from vlcontrast import alignment
 from vlcontrast.cli import main as cli_main
+from vlcontrast.durations import DurationSampleSet
 from vlcontrast.features import ContrastReport
 from vlcontrast.gamma import GammaFit
 from vlcontrast.report import (
@@ -19,6 +22,7 @@ from vlcontrast.report import (
     CorpusLoadError,
     CorpusSource,
     R1_UNDEFINED_MARK,
+    emit_plotdata,
     emit_table,
     report_from_dict,
     run_analysis,
@@ -181,17 +185,17 @@ def test_plotdata_columns_and_normalization(mimic_run):
 
 
 def test_plotdata_identical_sets_have_equal_curves():
-    from vlcontrast.durations import DurationSampleSet, build_histogram, filter_outliers
+    from vlcontrast.durations import filter_outliers
     from vlcontrast.features import contrast_report
-    from vlcontrast.report import emit_plotdata
     from vlcontrast.synthgen import sample_gamma
 
     draws = tuple(sample_gamma(6.0, 11.5, 300, seed=77))
     rep = contrast_report(
         filter_outliers(DurationSampleSet("a", "short", "c", draws)),
         filter_outliers(DurationSampleSet("a", "long", "c", draws)))
-    hist = build_histogram(DurationSampleSet("a", "short", "c", draws), 10.0)
-    text = emit_plotdata(rep, (hist, hist))
+    cells = {("a", length): DurationSampleSet("a", length, "c", draws)
+             for length in ("short", "long")}
+    text = emit_plotdata(rep, cells, 10.0)
     for line in text.strip().splitlines()[1:]:
         _x, hs, hl, ps, pl = line.split(",")
         assert hs == hl
@@ -199,18 +203,15 @@ def test_plotdata_identical_sets_have_equal_curves():
 
 
 def test_plotdata_rejects_degenerate_report():
-    from vlcontrast.durations import DurationSampleSet, build_histogram
     from vlcontrast.features import contrast_report
-    from vlcontrast.report import emit_plotdata
     from vlcontrast.synthgen import sample_gamma
 
     short = tuple(sample_gamma(6.0, 11.5, 50, seed=78))
     rep = contrast_report(
         DurationSampleSet("a", "short", "c", short),
         DurationSampleSet("a", "long", "c", (120.0,)))
-    hist = build_histogram(DurationSampleSet("a", "short", "c", short), 10.0)
     with pytest.raises(ValueError):
-        emit_plotdata(rep, (hist, hist))
+        emit_plotdata(rep, {}, 10.0)
 
 
 def _report(vowel="a", **kw):
@@ -223,6 +224,57 @@ def _report(vowel="a", **kw):
         flags=frozenset(), error=None)
     defaults.update(kw)
     return ContrastReport(**defaults)
+
+
+def _plot_columns(text):
+    """x -> (hist_density_short, hist_density_long) text of a plot CSV."""
+    columns = {}
+    for line in text.splitlines()[1:]:
+        x, hist_s, hist_l, _pdf_s, _pdf_l = line.split(",")
+        columns[float(x)] = (hist_s, hist_l)
+    return columns
+
+
+def test_plotdata_histogram_columns_are_step_densities():
+    cells = {("a", "short"): DurationSampleSet("a", "short", "c", (70.0, 130.0)),
+             ("a", "long"): DurationSampleSet("a", "long", "c", (300.0,))}
+    columns = _plot_columns(emit_plotdata(_report(), cells, 10.0))
+    # 70.0 opens the bin [70, 80): 1 / (2 * 10)
+    assert columns[70.0][0] == "0.05" and columns[75.0][0] == "0.05"
+    # the rows of [60, 70) read 0; the grid is whole ms and bin centers, so
+    # 69.0 is its last point below the edge at 70
+    assert max(x for x in columns if x < 70.0) == 69.0
+    assert {columns[x][0] for x in columns if 60.0 <= x < 70.0} == {"0.0"}
+    assert columns[135.0][0] == "0.05"
+    # every x past the cell's last bin [130, 140) reads 0
+    past = [x for x in columns if x >= 140.0]
+    assert len(past) > 1000
+    assert {columns[x][0] for x in past} == {"0.0"}
+    assert {columns[x][1] for x in columns if x >= 310.0} == {"0.0"}
+    assert columns[305.0][1] == "0.1"
+
+
+def _positive_samples(width):
+    """Durations in ms, many of them on a bin edge k * width or just below one."""
+    edges = st.integers(1, 300).map(lambda k: k * width)
+    return st.lists(edges | edges.map(lambda x: math.nextafter(x, 0.0))
+                    | st.floats(0.01, 400.0), min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plotdata_equals_the_scalar_referee(data):
+    width = data.draw(st.sampled_from((0.1, 7.3, 2.5, 10.0))
+                      | st.floats(0.05, 40.0), "width")
+    fits = [GammaFit(data.draw(st.floats(0.5, 30.0), f"shape_{length}"),
+                     data.draw(st.floats(0.5, 8.0), f"scale_{length}"))
+            for length in ("short", "long")]
+    cells = {("a", length): DurationSampleSet(
+        "a", length, "c", data.draw(_positive_samples(width), length))
+        for length in ("short", "long")}
+    rep = _report(fit_short=fits[0], fit_long=fits[1])
+    assert (emit_plotdata(rep, cells, width)
+            == oracles.emit_plotdata_scalar(rep, cells, width))
 
 
 def test_features_json_round_trips_missing_fit_and_nan_likelihood():
@@ -292,6 +344,24 @@ def test_config_validation_errors():
                        comparisons=(("c", "missing"),))
     with pytest.raises(ConfigError):
         AnalysisConfig(corpora=(src,), output_dir="o", output_formats=("pdf",))
+
+
+def test_config_from_json_and_the_constructor_hash_alike():
+    src = CorpusSource("c", ("x.ctm",), "ctm")
+    built = AnalysisConfig(corpora=(src,), output_dir="o", bin_width_ms=10)
+    loaded = AnalysisConfig.from_json(json.dumps({
+        "corpora": [{"corpus_id": "c", "paths": "x.ctm", "format": "ctm"}],
+        "output_dir": "o", "bin_width_ms": 10}))
+    assert built.canonical_hash() == loaded.canonical_hash()
+    assert built == loaded and type(built.bin_width_ms) is float
+    # a key the JSON leaves out takes the dataclass default
+    assert AnalysisConfig.from_json(json.dumps({
+        "corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}],
+        "output_dir": "o"})) == AnalysisConfig(corpora=(src,), output_dir="o")
+    assert AnalysisConfig(corpora=[src], output_dir="o",
+                          output_formats=["csv"], comparisons=[["c", "c"]]) == (
+        AnalysisConfig(corpora=(src,), output_dir="o", output_formats=("csv",),
+                       comparisons=(("c", "c"),)))
 
 
 def test_missing_input_raises_corpus_error(tmp_path):

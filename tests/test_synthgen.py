@@ -300,6 +300,16 @@ def test_a_shared_generator_continues_the_scalar_stream(seed, k1, n1, k2, n2):
     assert [rng.next_u64() for _ in range(3)] == [scalar.next_u64() for _ in range(3)]
 
 
+def test_a_rejection_at_the_end_of_a_buffer_refills_it():
+    # With seed 28 and shape 0.5, an attempt of the 16,068th draw is
+    # rejected within the last uniforms of the first 65,536-output buffer;
+    # without a refill the next attempt reads past the buffer.
+    rng, scalar = Xoshiro256(28), ScalarXoshiro256(28)
+    assert _hex(sample_gamma(0.5, 3.0, 16_068, rng=rng)) == _hex(
+        sample_gamma_scalar(0.5, 3.0, 16_068, scalar))
+    assert rng.next_u64() == scalar.next_u64()
+
+
 def test_the_all_zero_seed_guard_matches_the_scalar_stream(monkeypatch):
     monkeypatch.setattr(synthgen, "_splitmix64", lambda seed: [0, 0, 0, 0])
     monkeypatch.setattr(oracles, "splitmix64", lambda seed: [0, 0, 0, 0])
