@@ -70,6 +70,42 @@ class PhoneMapError(ValueError):
     """Invalid phone map configuration."""
 
 
+class ConfigError(ValueError):
+    """Invalid analysis configuration or corpus spec."""
+
+
+def _unique_keys(error: type[ValueError]):
+    """A `json.loads` object_pairs_hook that raises `error` naming a key
+    given twice in one object, where json would keep the last value."""
+    def hook(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"key {key!r} is given twice")
+            obj[key] = value
+        return obj
+    return hook
+
+
+def _list_of(kind):
+    return lambda value: isinstance(value, list) and all(
+        isinstance(item, kind) for item in value)
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+
+def _check_entry(entry: dict, types: dict) -> None:
+    """Reject unknown keys and values of the wrong JSON type, naming the key."""
+    unknown = sorted(set(entry) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}")
+    for key, value in entry.items():
+        valid, expected = types[key]
+        if not valid(value):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+
+
 def _nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
@@ -209,30 +245,27 @@ def default_phone_map() -> PhoneMap:
     return PhoneMap(entries)
 
 
-def _reject_duplicate_keys(pairs):
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise PhoneMapError(f"duplicate phone label {key!r} in map")
-        obj[key] = value
-    return obj
-
-
 def load_phone_map(text: str) -> PhoneMap:
     """Parse the JSON phone-map format:
 
     { "phones": { "<label>": {"vowel": "<class>", "length": "short"|"long"} } }
     """
     try:
-        obj = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        obj = json.loads(text, object_pairs_hook=_unique_keys(PhoneMapError))
     except json.JSONDecodeError as exc:
         raise PhoneMapError(f"invalid JSON in phone map: {exc}") from exc
     if not isinstance(obj, dict) or not isinstance(obj.get("phones"), dict):
         raise PhoneMapError('phone map must be an object with a "phones" table')
+    unknown = sorted(set(obj) - {"phones"})
+    if unknown:
+        raise PhoneMapError(f"unknown phone map key(s) {unknown}")
     entries: dict[str, tuple[str, str]] = {}
     for label, spec in obj["phones"].items():
         if not isinstance(spec, dict) or "vowel" not in spec or "length" not in spec:
             raise PhoneMapError(f'entry {label!r} needs "vowel" and "length"')
+        unknown = sorted(set(spec) - {"vowel", "length"})
+        if unknown:
+            raise PhoneMapError(f"entry {label!r} has unknown key(s) {unknown}")
         entries[label] = (str(spec["vowel"]), str(spec["length"]))
     return PhoneMap(entries)
 
@@ -360,8 +393,8 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         lineno, line = scanner.expect("item [...] header")
         if not _ITEM_RE.match(line):
             raise ParseError(f"expected tier item header, got {line!r}", lineno)
-        lineno, klass_v = _expect_kv(scanner, "class")
-        tier_class = _unquote(klass_v, lineno)
+        class_line, klass_v = _expect_kv(scanner, "class")
+        tier_class = _unquote(klass_v, class_line)
         lineno, name_v = _expect_kv(scanner, "name")
         tier_name = _unquote(name_v, lineno)
         _expect_number(scanner, "xmin")
@@ -382,7 +415,7 @@ def parse_textgrid(text: str, utterance_id: str = ""):
                 _unquote(mark, lineno)
             continue
         if tier_class != "IntervalTier":
-            raise ParseError(f"unknown tier class {tier_class!r}", lineno)
+            raise ParseError(f"unknown tier class {tier_class!r}", class_line)
 
         labels: list[str] = []
         starts: list[float] = []

@@ -25,9 +25,14 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
+    _STRING,
+    ConfigError,
     ParseError,
     PhoneMap,
     TokenTable,
+    _check_entry,
+    _list_of,
+    _unique_keys,
     default_phone_map,
     extract_vowel_tokens,
     load_phone_map,
@@ -69,10 +74,6 @@ R1_UNDEFINED_MARK = "NA(no-long-mass)"
 R2_UNDEFINED_MARK = "NA(no-short-mass)"
 
 
-class ConfigError(ValueError):
-    """Invalid analysis configuration."""
-
-
 class CorpusLoadError(RuntimeError):
     """Corpus-level failure (missing/unparseable/empty input); aborts the run."""
 
@@ -84,12 +85,6 @@ class CorpusSource:
     format: str  # "textgrid" | "ctm"
 
 
-def _list_of(kind):
-    return lambda value: isinstance(value, list) and all(
-        isinstance(item, kind) for item in value)
-
-
-_STRING = (lambda v: isinstance(v, str), "a string")
 _STRING_OR_NULL = (lambda v: v is None or isinstance(v, str), "a string or null")
 # The keys AnalysisConfig.from_json accepts, at the top level and per
 # corpus, each with a check of its JSON value and what the check wants.
@@ -112,15 +107,8 @@ _CORPUS_TYPES = {
 }
 
 
-def _check_entry(entry: dict, types: dict) -> None:
-    """Reject unknown keys and values of the wrong JSON type, naming the key."""
-    unknown = sorted(set(entry) - set(types))
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown}")
-    for key, value in entry.items():
-        valid, expected = types[key]
-        if not valid(value):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+def _ks_stem(a: str, b: str) -> str:
+    return f"ks_{a}_vs_{b}"
 
 
 @dataclass(frozen=True)
@@ -163,7 +151,7 @@ class AnalysisConfig:
         for a, b in self.comparisons:
             if a not in ids or b not in ids:
                 raise ConfigError(f"comparison ({a!r}, {b!r}) names unknown corpus")
-            name = f"ks_{a}_vs_{b}"
+            name = _ks_stem(a, b)
             if name in outputs:
                 raise ConfigError(f"comparisons {outputs[name]!r} and "
                                   f"{(a, b)!r} both write {name}.csv")
@@ -176,7 +164,7 @@ class AnalysisConfig:
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys(ConfigError))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(obj, dict):
@@ -217,6 +205,10 @@ class RunResult:
 
 # ---------------------------------------------------------------------------
 # serialization helpers
+
+def _json_text(obj, sort_keys: bool = True) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=sort_keys) + "\n"
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -313,12 +305,10 @@ def emit_table(reports, fmt: str) -> str:
             lines.append(",".join(_table_row(r, full_precision=True)))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
+        return _json_text({
             "corpus_id": reports[0].corpus_id,
             "reports": [_report_dict(r) for r in reports],
-        }
-        return json.dumps(payload, indent=2, ensure_ascii=False,
-                          sort_keys=True) + "\n"
+        })
     if fmt == "markdown":
         header = ("| Vowel | #occ short | #occ long | μ short (ms) | "
                   "μ long (ms) | r1 | r2 | 𝒜 | Δ (ms) | significant | flags |")
@@ -361,9 +351,10 @@ def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float) -> str:
     xs = np.unique(np.concatenate(
         [np.arange(int(math.ceil(upper)) + 1, dtype=np.float64)]
         + [(np.arange(c.size) + 0.5) * bin_width_ms for c in counts]))
-    # each bin's density count / (n * w), then 0 for every x past the last bin
+    # each bin's density count / (n * w), then 0 for every x past the last
+    # bin; row x reads bin floor(x / w), the bin that counts a sample at x
     columns = [np.append(c / (c.sum() * bin_width_ms), 0.0)[
-        np.minimum(xs // bin_width_ms, c.size).astype(np.intp)].tolist()
+        np.minimum(np.floor(xs / bin_width_ms), c.size).astype(np.intp)].tolist()
         for c in counts]
     fit_s, fit_l = report.fit_short, report.fit_long
     lines = ["x_ms,hist_density_short,hist_density_long,pdf_short,pdf_long"]
@@ -516,6 +507,15 @@ def _comparison_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _comparison_json(rows) -> str:
+    return _json_text([{
+        "vowel_class": r.vowel_class, "length_class": r.length_class,
+        "statistic": r.statistic, "p_value": r.p_value,
+        "n_a": r.n1, "n_b": r.n2,
+        "corpus_a": r.corpus_a, "corpus_b": r.corpus_b,
+    } for r in rows], sort_keys=False)
+
+
 def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunResult:
     """Execute the configured analysis; returns the written output paths.
 
@@ -523,7 +523,8 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
     raise CorpusLoadError/ConfigError; per-vowel degenerate fits degrade
     to flagged table rows instead.  With `comparisons_only` the per-corpus
     feature/plot/diagnostic outputs are skipped and only the configured KS
-    comparisons (plus run metadata) are written.
+    comparisons (plus run metadata) are written.  Nothing is written
+    until every output is built, so a failed load or analysis changes no file.
     """
     if config.phone_map_path is not None:
         map_path = Path(config.phone_map_path)
@@ -536,6 +537,7 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
 
     out_root = Path(config.output_dir)
     result = RunResult()
+    outputs: dict[Path, str] = {}  # every file's text, in the order written
     corpus_cells: dict[str, dict] = {}
     corpus_counts: dict[str, dict] = {}
 
@@ -551,46 +553,26 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
             reports = _corpus_reports(cells, source.corpus_id)
             result.reports[source.corpus_id] = reports
             corpus_dir = out_root / source.corpus_id
-
             for fmt in config.output_formats:
                 if reports:
-                    path = corpus_dir / FORMAT_FILES[fmt]
-                    write_atomic(path, emit_table(reports, fmt))
-                    result.output_paths.append(path)
-
+                    outputs[corpus_dir / FORMAT_FILES[fmt]] = emit_table(reports, fmt)
             for report in reports:
-                if report.fit_short is None or report.fit_long is None:
-                    continue
-                path = corpus_dir / f"plot_{VOWEL_SLUGS[report.vowel_class]}.csv"
-                write_atomic(path, emit_plotdata(report, cells, config.bin_width_ms))
-                result.output_paths.append(path)
-
-            diagnostics = _diagnostics(cells)
-            path = corpus_dir / "diagnostics.json"
-            write_atomic(path, json.dumps(
-                {"corpus_id": source.corpus_id, "dip": diagnostics},
-                indent=2, ensure_ascii=False, sort_keys=True) + "\n")
-            result.output_paths.append(path)
+                if report.fit_short is not None and report.fit_long is not None:
+                    slug = VOWEL_SLUGS[report.vowel_class]
+                    outputs[corpus_dir / f"plot_{slug}.csv"] = emit_plotdata(
+                        report, cells, config.bin_width_ms)
+            outputs[corpus_dir / "diagnostics.json"] = _json_text(
+                {"corpus_id": source.corpus_id, "dip": _diagnostics(cells)})
 
     for a, b in config.comparisons:
         rows = _comparison_rows(corpus_cells[a], corpus_cells[b])
         result.comparisons[(a, b)] = rows
-        path = out_root / f"ks_{a}_vs_{b}.csv"
-        write_atomic(path, _comparison_csv(rows))
-        result.output_paths.append(path)
+        stem = _ks_stem(a, b)
+        outputs[out_root / f"{stem}.csv"] = _comparison_csv(rows)
         if "json" in config.output_formats:
-            payload = [{
-                "vowel_class": r.vowel_class, "length_class": r.length_class,
-                "statistic": r.statistic, "p_value": r.p_value,
-                "n_a": r.n1, "n_b": r.n2,
-                "corpus_a": r.corpus_a, "corpus_b": r.corpus_b,
-            } for r in rows]
-            path = out_root / f"ks_{a}_vs_{b}.json"
-            write_atomic(path, json.dumps(payload, indent=2,
-                                          ensure_ascii=False) + "\n")
-            result.output_paths.append(path)
+            outputs[out_root / f"{stem}.json"] = _comparison_json(rows)
 
-    metadata = {
+    outputs[out_root / "run_metadata.json"] = _json_text({
         "tool": "vlcontrast",
         "version": __version__,
         "config_sha256": config.canonical_hash(),
@@ -603,9 +585,9 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
             "ks_on_filtered_durations": config.outlier_filtering,
         },
         "corpora": corpus_counts,
-    }
-    path = out_root / "run_metadata.json"
-    write_atomic(path, json.dumps(metadata, indent=2, ensure_ascii=False,
-                                  sort_keys=True) + "\n")
-    result.output_paths.append(path)
+    })
+
+    for path, text in outputs.items():
+        write_atomic(path, text)
+        result.output_paths.append(path)
     return result

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import CELLS, VOWEL_CLASSES, TokenTable
-from .report import _STRING, ConfigError, _check_entry, _list_of
+from .alignment import (_STRING, CELLS, VOWEL_CLASSES, ConfigError, TokenTable,
+                        _check_entry, _list_of, _unique_keys)
 
 __all__ = ["Xoshiro256", "CellSpec", "CorpusSpec", "SynthCorpus",
            "sample_gamma", "generate_corpus"]
@@ -314,8 +314,9 @@ class CorpusSpec:
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
         """Parse a spec; an unknown key or a value of the wrong JSON type
-        raises ConfigError (a ValueError) naming the key."""
-        obj = json.loads(text)
+        raises ConfigError (a ValueError) naming the key, as does a key
+        given twice."""
+        obj = json.loads(text, object_pairs_hook=_unique_keys(ConfigError))
         if not isinstance(obj, dict):
             raise ConfigError("corpus spec must be a JSON object")
         _check_entry(obj, _SPEC_TYPES)

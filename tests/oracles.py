@@ -513,10 +513,10 @@ def generate_corpus_scalar(spec):
 
 def _density_at(bin_width_ms: float, densities: tuple, x: float) -> float:
     """Step-function value of a histogram's density at x (0 outside all
-    bins)."""
+    bins): the bin floor(x / w), where a sample at x is counted."""
     if x < 0.0 or not densities:
         return 0.0
-    idx = int(x // bin_width_ms)
+    idx = int(math.floor(x / bin_width_ms))
     if idx >= len(densities):
         return 0.0
     return densities[idx]

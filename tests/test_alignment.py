@@ -168,7 +168,7 @@ TEXTGRID_ERRORS = (
     ("intervals: size = 1", "intervals size = 1",
      "expected intervals/points size, got 'intervals size = 1'", 14),
     ('class = "IntervalTier"', 'class = "TierOfSomething"',
-     "unknown tier class 'TierOfSomething'", 14),  # names the size line
+     "unknown tier class 'TierOfSomething'", 10),
     ("intervals [1]:", "interval 1:",
      "expected interval header, got 'interval 1:'", 15),
     ("xmax = 0.25", "xmax = 0.1", "zero-length interval with label 'a'", 17),
@@ -292,6 +292,22 @@ def test_load_phone_map_roundtrip_and_errors():
         load_phone_map('{"phones": {"y": {"vowel": "y", "length": "short"}}}')
     with pytest.raises(PhoneMapError):  # not JSON
         load_phone_map("phones: a")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"phones": {"a": {"vowel": "a", "length": "short"},'
+     ' "a": {"vowel": "e", "length": "short"}}}', "key 'a' is given twice"),
+    ('{"phones": {"a": {"vowel": "a", "length": "short", "length": "long"}}}',
+     "key 'length' is given twice"),
+    ('{"phones": {"a": {"vowel": "a", "length": "short", "lenght": "long"}}}',
+     "entry 'a' has unknown key(s) ['lenght']"),
+    ('{"phones": {"a": {"vowel": "a", "length": "short"}}, "phonez": {}}',
+     "unknown phone map key(s) ['phonez']"),
+], ids=["label_twice", "entry_key_twice", "unknown_entry_key", "unknown_top_key"])
+def test_phone_map_names_a_repeated_or_unknown_key(text, message):
+    with pytest.raises(PhoneMapError) as err:
+        load_phone_map(text)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("label", ["", "a ", " a", "\ta", "aa　"])

@@ -1,6 +1,7 @@
 """Numpy is the only runtime dependency: every import in the package is
-of the standard library, numpy or the package itself.  Every exported
-name exists."""
+of the standard library, numpy or the package itself.  Inside the
+package, each module imports only what `PACKAGE_LAYERS` allows it.
+Every exported name exists."""
 
 import ast
 import importlib
@@ -58,3 +59,63 @@ def test_every_exported_name_resolves():
     assert {"vlcontrast", "vlcontrast.alignment", "vlcontrast.synthgen"} <= set(exporting)
     assert {name: _missing_exports(module) for name, module in exporting.items()} == {
         name: [] for name in exporting}
+
+
+# The package modules each module may import; None allows any.  The
+# analysis layers sit under `report`, and `synthgen` shares only
+# `alignment` with them, so the generator never depends on the analysis.
+PACKAGE_LAYERS = {
+    "alignment": set(),
+    "gamma": set(),
+    "stattests": set(),
+    "durations": {"alignment"},
+    "features": {"alignment", "durations", "gamma", "stattests"},
+    "synthgen": {"alignment"},
+    "report": {"alignment", "durations", "features", "gamma", "stattests",
+               "__version__"},
+    "cli": None,
+    "__init__": None,
+    "__main__": None,
+}
+
+
+def _package_imports(source: str) -> set[str]:
+    """The package modules (or, for `from . import name`, the names) that a
+    module imports, by relative or absolute import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "vlcontrast":
+                    continue
+                module = module.removeprefix("vlcontrast").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("vlcontrast.")}
+    return found
+
+
+def test_layer_rule_reads_relative_and_absolute_imports():
+    assert _package_imports(
+        "import math\nfrom . import __version__, gamma\n"
+        "from .alignment import CELLS\nfrom vlcontrast.report import run_analysis\n"
+        "import vlcontrast.durations\nfrom numpy import floor\n"
+    ) == {"__version__", "gamma", "alignment", "report", "durations"}
+
+
+def test_package_imports_follow_the_layers():
+    modules = {path.stem: path for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert set(modules) == set(PACKAGE_LAYERS)
+    breaches = {}
+    for name, path in modules.items():
+        allowed = PACKAGE_LAYERS[name]
+        if allowed is not None:
+            extra = _package_imports(path.read_text(encoding="utf-8")) - allowed
+            if extra:
+                breaches[name] = sorted(extra)
+    assert breaches == {}

@@ -13,7 +13,7 @@ from tables import rows
 
 from vlcontrast import alignment
 from vlcontrast.cli import main as cli_main
-from vlcontrast.durations import DurationSampleSet
+from vlcontrast.durations import DurationSampleSet, build_histogram
 from vlcontrast.features import ContrastReport
 from vlcontrast.gamma import GammaFit
 from vlcontrast.report import (
@@ -252,6 +252,19 @@ def test_plotdata_histogram_columns_are_step_densities():
     assert {columns[x][0] for x in past} == {"0.0"}
     assert {columns[x][1] for x in columns if x >= 310.0} == {"0.0"}
     assert columns[305.0][1] == "0.1"
+
+
+def test_plot_row_reads_the_bin_that_counts_it():
+    # 7.0 / 0.1 rounds to 70.0, but 7.0 // 0.1 is 69.0: the samples are
+    # counted in bin 70, [7.0, 7.1), so row 7.0 must read that bin
+    cells = {("a", "short"): DurationSampleSet("a", "short", "c", (7.0,) * 4),
+             ("a", "long"): DurationSampleSet("a", "long", "c", (300.0,))}
+    assert build_histogram(cells[("a", "short")], 0.1)[70] == 4
+    text = emit_plotdata(_report(), cells, 0.1)
+    columns = _plot_columns(text)
+    assert columns[7.0][0] == repr(4 / (4 * 0.1))
+    assert columns[69.5 * 0.1][0] == "0.0"
+    assert text == oracles.emit_plotdata_scalar(_report(), cells, 0.1)
 
 
 def _positive_samples(width):
@@ -793,6 +806,52 @@ def test_runs_are_byte_identical(tmp_path):
         assert path.read_bytes() == blob
 
 
+def _tree(root):
+    """Every file under `root`, by path, with its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _two_corpus_config(tmp_path, **kw):
+    ctm, tg_dir = _write_two_corpora(tmp_path)
+    return AnalysisConfig(
+        corpora=(CorpusSource("corpA", (str(ctm),), "ctm"),
+                 CorpusSource("corpB", (str(tg_dir),), "textgrid")),
+        output_dir=str(tmp_path / "out"), comparisons=(("corpA", "corpB"),), **kw)
+
+
+def test_output_paths_list_the_written_files_in_order(tmp_path):
+    config = _two_corpus_config(tmp_path, output_formats=("markdown", "csv"))
+    out = tmp_path / "out"
+    paths = run_analysis(config).output_paths
+    assert paths == [out / name for name in (
+        "corpA/features.md", "corpA/features.csv", "corpA/plot_a.csv",
+        "corpA/diagnostics.json",
+        "corpB/features.md", "corpB/features.csv", "corpB/plot_a.csv",
+        "corpB/diagnostics.json",
+        "ks_corpA_vs_corpB.csv", "run_metadata.json")]
+    assert set(paths) == set(_tree(out))
+
+    ks_out = tmp_path / "ks_out"
+    paths = run_analysis(replace(config, output_dir=str(ks_out),
+                                 output_formats=("csv", "json", "markdown")),
+                         comparisons_only=True).output_paths
+    assert paths == [ks_out / name for name in (
+        "ks_corpA_vs_corpB.csv", "ks_corpA_vs_corpB.json", "run_metadata.json")]
+    assert set(paths) == set(_tree(ks_out))
+
+
+def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
+    config = _two_corpus_config(tmp_path)
+    run_analysis(config)
+    before = _tree(tmp_path / "out")
+    assert tmp_path / "out" / "corpA" / "plot_a.csv" in before
+    broken = sorted((tmp_path / "corpB").iterdir())[-1]
+    broken.write_text("not an alignment file\n", encoding="utf-8")
+    with pytest.raises(CorpusLoadError, match=broken.name):
+        run_analysis(replace(config, bin_width_ms=5.0))
+    assert _tree(tmp_path / "out") == before
+
+
 def _config_json(**extra):
     obj = {"corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}],
            "output_dir": "o"}
@@ -821,6 +880,17 @@ def test_config_from_json_rejects_unknown_keys():
     assert "fromat" in str(err.value)
     with pytest.raises(ConfigError):
         AnalysisConfig.from_json(_config_json(corpora=["x.ctm"]))
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}],'
+     ' "output_dir": "o1", "output_dir": "o2"}', "output_dir"),
+    ('{"corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm",'
+     ' "format": "textgrid"}], "output_dir": "o"}', "format"),
+], ids=["top_level", "corpus"])
+def test_config_from_json_rejects_a_key_given_twice(text, key):
+    with pytest.raises(ConfigError, match=f"key '{key}' is given twice"):
+        AnalysisConfig.from_json(text)
 
 
 def test_config_from_json_checks_value_types_and_names_the_key():

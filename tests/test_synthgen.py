@@ -19,7 +19,7 @@ from vlcontrast.alignment import (
 )
 from vlcontrast.durations import DurationSampleSet, filter_outliers
 from vlcontrast.features import contrast_report, compute_area
-from vlcontrast import synthgen
+from vlcontrast import ConfigError, synthgen
 from vlcontrast.alignment import CELLS
 from vlcontrast.gamma import GammaFit
 from vlcontrast.synthgen import (
@@ -186,6 +186,12 @@ def test_corpus_spec_from_json_names_the_bad_key(edit, named):
     with pytest.raises(ValueError) as info:
         CorpusSpec.from_json(json.dumps({**_GOOD_SPEC, **edit}))
     assert named in str(info.value)
+
+
+def test_corpus_spec_from_json_rejects_a_key_given_twice():
+    text = json.dumps(_GOOD_SPEC).replace('"seed": 5', '"seed": 1, "seed": 2')
+    with pytest.raises(ConfigError, match="key 'seed' is given twice"):
+        CorpusSpec.from_json(text)
 
 
 def test_corpus_spec_from_json_needs_an_object_with_an_id():
