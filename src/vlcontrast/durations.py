@@ -2,11 +2,14 @@
 
 A "cell" is the set of durations of one (vowel, length) pair within one
 corpus.  All durations are milliseconds, strictly positive.
+`collect_cells` and `filter_outliers` pass a cell as a DurationSampleSet;
+past the filter a cell is its read-only float64 sample array, and
+`build_histogram` and `pooled_samples` read those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,20 +26,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DurationSampleSet:
-    """Durations of one (vowel, length) cell with derived summary stats.
+    """Durations of one (vowel, length) cell of one corpus, as
+    `collect_cells` hands them to `filter_outliers`.
 
-    Immutable: `samples` is a read-only float64 copy of the input and
-    mean/sd are computed once at construction (sd uses the n-1
-    denominator).
+    Immutable: `samples` is a read-only float64 copy of the input.
     """
 
     vowel_class: str
     length_class: str
     corpus_id: str
     samples: np.ndarray
-    n: int = field(init=False)
-    mean_ms: float | None = field(init=False)
-    sd_ms: float | None = field(init=False)
 
     def __post_init__(self) -> None:
         samples = np.array(self.samples, dtype=np.float64)
@@ -48,37 +47,39 @@ class DurationSampleSet:
             raise ValueError("durations must be strictly positive")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
-        n = samples.size
-        object.__setattr__(self, "n", n)
-        mean = float(samples.mean()) if n else None
-        sd = float(samples.std(ddof=1)) if n >= 2 else None
-        object.__setattr__(self, "mean_ms", mean)
-        object.__setattr__(self, "sd_ms", sd)
+
+    @property
+    def n(self) -> int:
+        return self.samples.size
 
 
 def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
     """Single-pass 3-sigma rule: keep x with mean-3sd < x < mean+3sd.
 
-    The bounds come from the *input* cell and the rule is not iterated.
-    Cells with n < 2 or zero spread are returned unchanged.
+    The bounds come from the *input* cell (sd with the n-1 denominator)
+    and the rule is not iterated.  Cells with n < 2 or zero spread are
+    returned unchanged.
     """
-    if cell.n < 2 or cell.sd_ms is None or cell.sd_ms == 0.0:
+    samples = cell.samples
+    if samples.size < 2:
         return cell
-    lo = cell.mean_ms - 3.0 * cell.sd_ms
-    hi = cell.mean_ms + 3.0 * cell.sd_ms
-    keep = (lo < cell.samples) & (cell.samples < hi)
+    mean = float(samples.mean())
+    sd = float(samples.std(ddof=1))
+    if sd == 0.0:
+        return cell
+    keep = (mean - 3.0 * sd < samples) & (samples < mean + 3.0 * sd)
     if keep.all():
         return cell
     return DurationSampleSet(cell.vowel_class, cell.length_class,
-                             cell.corpus_id, cell.samples[keep])
+                             cell.corpus_id, samples[keep])
 
 
-def build_histogram(cell: DurationSampleSet, bin_width_ms: float) -> np.ndarray:
-    """Read-only counts of the cell's samples in the bins [0, w), [w, 2w),
-    ... up to the bin holding max(samples); empty for an empty cell."""
+def build_histogram(samples: np.ndarray, bin_width_ms: float) -> np.ndarray:
+    """Read-only counts of the samples in the bins [0, w), [w, 2w), ...
+    up to the bin holding max(samples); empty for an empty cell."""
     if bin_width_ms <= 0.0:
         raise ValueError("bin width must be positive")
-    counts = np.bincount(np.floor(cell.samples / bin_width_ms).astype(int))
+    counts = np.bincount(np.floor(samples / bin_width_ms).astype(int))
     counts.flags.writeable = False
     return counts
 
@@ -105,7 +106,7 @@ def collect_cells(tokens: TokenTable, corpus_id: str):
 def pooled_samples(cells, vowel_class: str,
                    lengths=("short", "long")) -> np.ndarray:
     """The samples of the vowel's cells in `lengths`, concatenated in that
-    order; cells absent from the (vowel, length) map add nothing."""
+    order; cells absent from the (vowel, length) -> samples map add nothing."""
     return np.concatenate([np.empty(0)] + [
-        cells[(vowel_class, length)].samples for length in lengths
+        cells[(vowel_class, length)] for length in lengths
         if (vowel_class, length) in cells])

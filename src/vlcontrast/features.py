@@ -16,6 +16,9 @@ reads it.  A contrast counts as significant when area > 0.40.
 Ratios are UNDEFINED (None, flagged) when the opposite density carries no
 mass at the probing mode, mirroring corpora where a cell is empty in
 practice.
+
+`contrast_report` and `compare_corpora` read each cell as its array of
+durations (ms), after any outlier filter.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .alignment import CONTRASTED_VOWELS
-from .durations import DurationSampleSet, pooled_samples
+from .durations import pooled_samples
 from .gamma import (
     LOW_N_THRESHOLD,
     DegenerateDataError,
@@ -157,43 +162,30 @@ def compute_delta(fit_short: GammaFit, fit_long: GammaFit) -> float:
     return gamma_mode(fit_long) - gamma_mode(fit_short)
 
 
-def contrast_report(
-    set_short: DurationSampleSet,
-    set_long: DurationSampleSet,
-) -> ContrastReport:
-    """Fit both cells of one vowel and derive its features.
+def contrast_report(vowel_class: str, corpus_id: str,
+                    short_ms: np.ndarray, long_ms: np.ndarray) -> ContrastReport:
+    """Fit the short and long duration samples of one vowel and derive
+    its features.
 
-    The cells are used as given; apply `filter_outliers` to each first
-    for the 3-sigma rule.  Degenerate cells produce a report carrying an
-    error marker instead of features; callers decide whether that aborts
-    anything (the CLI does not).
+    The samples are used as given; apply `filter_outliers` to each cell
+    first for the 3-sigma rule.  Degenerate cells produce a report
+    carrying an error marker instead of features; callers decide whether
+    that aborts anything (the CLI does not).
     """
-    if set_short.vowel_class != set_long.vowel_class:
-        raise ValueError("short/long cells must describe the same vowel")
-    if set_short.corpus_id != set_long.corpus_id:
-        raise ValueError("short/long cells must come from the same corpus")
-
     flags: set[str] = set()
-    base = dict(
-        vowel_class=set_short.vowel_class,
-        corpus_id=set_short.corpus_id,
-        n_short=set_short.n,
-        n_long=set_long.n,
-        mean_short_ms=set_short.mean_ms,
-        mean_long_ms=set_long.mean_ms,
-    )
-
+    base = dict(vowel_class=vowel_class, corpus_id=corpus_id)
     fits: dict[str, GammaFit | None] = {"short": None, "long": None}
     errors = []
-    for side, cell in (("short", set_short), ("long", set_long)):
+    for side, samples in (("short", short_ms), ("long", long_ms)):
+        x = np.asarray(samples, dtype=np.float64)
+        base[f"n_{side}"] = x.size
+        base[f"mean_{side}_ms"] = float(x.mean()) if x.size else None
         try:
-            fits[side] = fit_gamma(cell.samples)
+            fits[side] = fit_gamma(x)
         except (DegenerateDataError, ValueError) as exc:
             errors.append(f"{side}: {exc}")
-    if set_short.n and set_short.n < LOW_N_THRESHOLD:
-        flags.add("low_n_short")
-    if set_long.n and set_long.n < LOW_N_THRESHOLD:
-        flags.add("low_n_long")
+        if x.size and x.size < LOW_N_THRESHOLD:
+            flags.add(f"low_n_{side}")
 
     if errors:
         return ContrastReport(
@@ -229,32 +221,33 @@ def contrast_report(
 
 def compare_corpora(
     vowel_class: str,
+    corpus_a: str,
     cells_a,
+    corpus_b: str,
     cells_b,
     length_class: str = "pooled",
 ) -> TestResult:
     """KS two-sample test between the duration distributions of one vowel
     in two corpora.
 
-    `cells_a` and `cells_b` map (vowel, length) to each corpus's
-    DurationSampleSet, already filtered if the outlier rule applies.
-    `length_class` is "short", "long", or "pooled" (both cells together).
+    `cells_a` and `cells_b` map (vowel, length) to the duration samples
+    of corpora `corpus_a` and `corpus_b`, already filtered if the outlier
+    rule applies.  `length_class` is "short", "long", or "pooled" (both
+    cells together).
     """
     if length_class not in ("short", "long", "pooled"):
         raise ValueError(f"length_class must be short/long/pooled, got {length_class!r}")
     lengths = ("short", "long") if length_class == "pooled" else (length_class,)
 
-    sides = []
-    for name, cells in (("A", cells_a), ("B", cells_b)):
-        corpus_id = next((c.corpus_id for c in cells.values()), name)
-        durations = pooled_samples(cells, vowel_class, lengths)
-        if not durations.size:
+    durations = []
+    for corpus_id, cells in ((corpus_a, cells_a), (corpus_b, cells_b)):
+        pooled = pooled_samples(cells, vowel_class, lengths)
+        if not pooled.size:
             raise ValueError(
                 f"corpus {corpus_id!r} has no tokens for cell "
                 f"({vowel_class}, {length_class})")
-        sides.append((corpus_id, durations))
+        durations.append(pooled)
 
-    (corpus_a, dur_a), (corpus_b, dur_b) = sides
-    result = ks_two_sample(dur_a, dur_b)
+    result = ks_two_sample(*durations)
     return replace(result, vowel_class=vowel_class, length_class=length_class,
                    corpus_a=corpus_a, corpus_b=corpus_b)

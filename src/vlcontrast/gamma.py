@@ -156,6 +156,8 @@ class GammaFit:
 
 def _as_positive_array(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("gamma fitting requires finite samples, got NaN or infinity")
     if x.size and not np.all(x > 0.0):
         raise ValueError("gamma fitting requires strictly positive samples")
     return x

@@ -40,8 +40,7 @@ from .alignment import (
     parse_textgrid,
     speaker_rule,
 )
-from .durations import (DurationSampleSet, build_histogram, collect_cells,
-                         filter_outliers, pooled_samples)
+from .durations import build_histogram, collect_cells, filter_outliers, pooled_samples
 from .features import VOWEL_ORDER, ContrastReport, compare_corpora, contrast_report
 from .gamma import GammaFit, gamma_pdf
 from .stattests import TestResult, dip_test
@@ -156,6 +155,13 @@ class AnalysisConfig:
                 raise ConfigError(f"comparisons {outputs[name]!r} and "
                                   f"{(a, b)!r} both write {name}.csv")
             outputs[name] = (a, b)
+        # files written directly under output_dir, and write_atomic's temp names
+        top = {"run_metadata.json"} | {name + ext for name in outputs for ext in (
+            (".csv", ".json") if "json" in self.output_formats else (".csv",))}
+        for c in self.corpora:
+            if c.corpus_id.removesuffix(".tmp") in top:
+                raise ConfigError(f"config key 'corpus_id' {c.corpus_id!r} names a "
+                                  "file the run writes in output_dir")
         try:
             speaker_rule(self.speaker_from)
         except ValueError as exc:
@@ -337,8 +343,8 @@ def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float) -> str:
 
     Columns: x_ms, hist_density_short, hist_density_long, pdf_short,
     pdf_long.  x runs over the union of the bin centers of the vowel's
-    cells in the (vowel, length) map `cells` and a 1 ms grid across
-    [0, U]; enough to re-render the usual histogram + density-curve
+    cells in the (vowel, length) -> samples map `cells` and a 1 ms grid
+    across [0, U]; enough to re-render the usual histogram + density-curve
     figures in any plotter.
     """
     if report.fit_short is None or report.fit_long is None:
@@ -462,18 +468,12 @@ def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
 
 
 def _corpus_reports(cells, corpus_id: str) -> list[ContrastReport]:
-    reports = []
-    for vowel in VOWEL_ORDER:
-        cell_s = cells.get((vowel, "short"))
-        cell_l = cells.get((vowel, "long"))
-        if cell_s is None and cell_l is None:
-            continue
-        if cell_s is None:
-            cell_s = DurationSampleSet(vowel, "short", corpus_id, ())
-        if cell_l is None:
-            cell_l = DurationSampleSet(vowel, "long", corpus_id, ())
-        reports.append(contrast_report(cell_s, cell_l))
-    return reports
+    """One report per vowel with a cell; a missing cell is an empty sample."""
+    empty = np.empty(0)
+    return [contrast_report(vowel, corpus_id, cells.get((vowel, "short"), empty),
+                            cells.get((vowel, "long"), empty))
+            for vowel in VOWEL_ORDER
+            if (vowel, "short") in cells or (vowel, "long") in cells]
 
 
 def _diagnostics(cells) -> dict:
@@ -487,12 +487,12 @@ def _diagnostics(cells) -> dict:
     return out
 
 
-def _comparison_rows(cells_a, cells_b) -> list[TestResult]:
+def _comparison_rows(a: str, cells_a, b: str, cells_b) -> list[TestResult]:
     rows: list[TestResult] = []
     for vowel in VOWEL_ORDER:
         for length in ("short", "long", "pooled"):
             try:
-                rows.append(compare_corpora(vowel, cells_a, cells_b, length))
+                rows.append(compare_corpora(vowel, a, cells_a, b, cells_b, length))
             except ValueError:
                 continue  # cell empty on one side: no comparison
     return rows
@@ -544,10 +544,11 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
     for source in config.corpora:
         tokens, corpus_counts[source.corpus_id] = _load_corpus(
             source, phone_map, speaker)
-        # every output of the corpus reads this one (vowel, length) -> cell map
         cells = collect_cells(tokens, source.corpus_id)
         if config.outlier_filtering:
             cells = {key: filter_outliers(cell) for key, cell in cells.items()}
+        # every output of the corpus reads this one (vowel, length) -> samples map
+        cells = {key: cell.samples for key, cell in cells.items()}
         corpus_cells[source.corpus_id] = cells
         if not comparisons_only:
             reports = _corpus_reports(cells, source.corpus_id)
@@ -565,7 +566,7 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
                 {"corpus_id": source.corpus_id, "dip": _diagnostics(cells)})
 
     for a, b in config.comparisons:
-        rows = _comparison_rows(corpus_cells[a], corpus_cells[b])
+        rows = _comparison_rows(a, corpus_cells[a], b, corpus_cells[b])
         result.comparisons[(a, b)] = rows
         stem = _ks_stem(a, b)
         outputs[out_root / f"{stem}.csv"] = _comparison_csv(rows)

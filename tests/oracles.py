@@ -538,7 +538,7 @@ def emit_plotdata_scalar(report, cells, bin_width_ms: float) -> str:
     from vlcontrast.gamma import gamma_pdf
     from vlcontrast.report import _plot_upper_limit
 
-    hists = [_densities(cells[(report.vowel_class, length)].samples, bin_width_ms)
+    hists = [_densities(cells[(report.vowel_class, length)], bin_width_ms)
              for length in ("short", "long")]
     upper = _plot_upper_limit(report.fit_short, report.fit_long)
     xs = set(float(x) for x in range(0, int(math.ceil(upper)) + 1))

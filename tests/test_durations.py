@@ -11,6 +11,7 @@ from vlcontrast.durations import (
     filter_outliers,
 )
 from vlcontrast.alignment import CELLS, TokenTable
+from vlcontrast.features import contrast_report
 from vlcontrast.synthgen import sample_gamma
 
 
@@ -21,8 +22,17 @@ def cell(samples, vowel="a", length="short", corpus="t"):
 def test_sample_set_stats():
     c = cell([70.0, 130.0])
     assert c.n == 2
-    assert c.mean_ms == pytest.approx(100.0)
-    assert c.sd_ms == pytest.approx(42.42640687119285)
+    assert contrast_report("a", "t", c.samples, ()).mean_short_ms == pytest.approx(100.0)
+
+
+def test_filter_bounds_use_the_n_minus_1_sd():
+    # mean 54, sd 6*sqrt(3) = 10.39 (n - 1 denominator): 84 < 54 + 3 sd is
+    # kept; the n-denominator sd 9.91 would put it past the bound
+    c = cell([50.0] * 9 + [60.0, 84.0])
+    assert float(np.std(c.samples, ddof=1)) == pytest.approx(6.0 * np.sqrt(3.0))
+    assert filter_outliers(c) is c
+    shifted = cell([50.0] * 9 + [60.0, 84.0, 50.0])  # bound 53.67 + 3 * 9.98 = 83.59
+    assert filter_outliers(shifted).samples.tolist() == [50.0] * 9 + [60.0, 50.0]
 
 
 def test_sample_set_rejects_nonpositive():
@@ -50,15 +60,16 @@ def test_sample_set_is_a_read_only_1d_copy():
 
 
 def test_summary_empty_and_singleton():
-    empty = cell([])
-    assert (empty.n, empty.mean_ms, empty.sd_ms) == (0, None, None)
-    single = cell([81.0])
-    assert (single.n, single.mean_ms, single.sd_ms) == (1, 81.0, None)
+    empty, single = cell([]), cell([81.0])
+    assert (empty.n, single.n) == (0, 1)
+    rep = contrast_report("a", "t", empty.samples, single.samples)
+    assert ((rep.n_short, rep.mean_short_ms, rep.n_long, rep.mean_long_ms)
+            == (0, None, 1, 81.0))
 
 
 def test_summary_seeded_gamma_mean():
     draws = sample_gamma(4.0, 20.0, 10_000, seed=424242)
-    assert abs(cell(draws).mean_ms - 80.0) < 1.0
+    assert abs(contrast_report("a", "t", draws, draws).mean_short_ms - 80.0) < 1.0
 
 
 def test_filter_outliers_trivial_cases():
@@ -100,14 +111,15 @@ def test_filter_outliers_is_submultiset_within_bounds():
                          int(rng.integers(2, 300)))
         c = cell(data)
         out = filter_outliers(c)
+        mean, sd = c.samples.mean(), c.samples.std(ddof=1)
         remaining = list(c.samples)
         for x in out.samples:
             remaining.remove(x)  # raises if not a sub-multiset
-            assert c.mean_ms - 3 * c.sd_ms < x < c.mean_ms + 3 * c.sd_ms
+            assert mean - 3 * sd < x < mean + 3 * sd
 
 
 def test_histogram_two_points():
-    counts = build_histogram(cell([70.0, 130.0]), 10.0)
+    counts = build_histogram(np.array([70.0, 130.0]), 10.0)
     assert counts.size == 14  # bins [0,10) .. [130,140)
     assert counts[7] == 1 and counts[13] == 1
     assert counts.sum() == 2
@@ -122,27 +134,27 @@ def test_histogram_normalization():
     for _ in range(10):
         data = rng.gamma(4.0, 20.0, int(rng.integers(1, 500)))
         width = rng.uniform(1.0, 25.0)
-        counts = build_histogram(cell(data), width)
+        counts = build_histogram(data, width)
         assert counts.sum() == len(data)
         densities = counts / (len(data) * width)
         assert sum(d * width for d in densities) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_histogram_empty():
-    counts = build_histogram(cell([]), 10.0)
+    counts = build_histogram(np.empty(0), 10.0)
     assert counts.size == 0
 
 
 def test_histogram_rejects_bad_width():
     with pytest.raises(ValueError):
-        build_histogram(cell([1.0]), 0.0)
+        build_histogram(np.array([1.0]), 0.0)
 
 
 def test_histogram_matches_analytic_bin_probabilities():
     # oracle: gamma bin mass from the regularized incomplete gamma function
     k, theta, width = 4.0, 20.0, 10.0
     draws = sample_gamma(k, theta, 10_000, seed=424242)
-    counts = build_histogram(cell(draws), width)
+    counts = build_histogram(np.asarray(draws), width)
     for i, density in enumerate(counts / (len(draws) * width)):
         lo, hi = i * width, (i + 1) * width
         p = gammainc(k, hi / theta) - gammainc(k, lo / theta)

@@ -137,14 +137,14 @@ def test_mode_error_propagates():
         compute_delta(FIT_S, sub_exponential)
 
 
-def _cell(samples, vowel="a", length="short", corpus="t"):
-    return DurationSampleSet(vowel, length, corpus, tuple(samples))
+def _filtered(samples):
+    """The samples the outlier rule keeps, as run_analysis passes them on."""
+    return filter_outliers(DurationSampleSet("a", "short", "t", samples)).samples
 
 
 def test_contrast_report_identical_cells():
     draws = sample_gamma(6.0, 11.5, 400, seed=83)
-    rep = contrast_report(filter_outliers(_cell(draws, length="short")),
-                          filter_outliers(_cell(draws, length="long")))
+    rep = contrast_report("a", "t", _filtered(draws), _filtered(draws))
     assert rep.r1 == pytest.approx(1.0, abs=1e-9)
     assert rep.r2 == pytest.approx(1.0, abs=1e-9)
     assert rep.area <= 1e-6
@@ -158,8 +158,7 @@ def test_contrast_report_significant_synthetic_a_cell():
     # modes 50 ms apart; true-parameter area is 0.5517
     short = sample_gamma(6.0, 11.5, 4673, seed=91)
     long_ = sample_gamma(125.0 / 17.5, 17.5, 880, seed=92)
-    rep = contrast_report(filter_outliers(_cell(short, length="short")),
-                          filter_outliers(_cell(long_, length="long")))
+    rep = contrast_report("a", "t", _filtered(short), _filtered(long_))
     assert rep.significant is True
     assert rep.area > AREA_SIGNIFICANCE_THRESHOLD
     assert rep.flags == frozenset()
@@ -169,16 +168,14 @@ def test_contrast_report_significant_synthetic_a_cell():
 def test_contrast_report_weak_synthetic_o_cell():
     short = sample_gamma(4.5625, 16.0, 881, seed=93)
     long_ = sample_gamma(102.0 / 21.0, 21.0, 710, seed=94)
-    rep = contrast_report(filter_outliers(_cell(short, vowel="ɔ", length="short")),
-                          filter_outliers(_cell(long_, vowel="ɔ", length="long")))
+    rep = contrast_report("ɔ", "t", _filtered(short), _filtered(long_))
     assert rep.significant is False
     assert rep.area < AREA_SIGNIFICANCE_THRESHOLD
 
 
 def test_contrast_report_degenerate_side_carries_error():
     short = sample_gamma(6.0, 11.5, 50, seed=95)
-    rep = contrast_report(filter_outliers(_cell(short, length="short")),
-                          filter_outliers(_cell([120.0], length="long")))
+    rep = contrast_report("a", "t", _filtered(short), _filtered([120.0]))
     assert rep.error is not None and "long" in rep.error
     assert rep.r1 is None and rep.area is None
     assert rep.significant is False
@@ -189,8 +186,7 @@ def test_contrast_report_degenerate_side_carries_error():
 def test_contrast_report_low_n_flags():
     short = sample_gamma(6.0, 11.5, 15, seed=96)
     long_ = sample_gamma(7.0, 17.5, 120, seed=97)
-    rep = contrast_report(filter_outliers(_cell(short, length="short")),
-                          filter_outliers(_cell(long_, length="long")))
+    rep = contrast_report("a", "t", _filtered(short), _filtered(long_))
     assert "low_n_short" in rep.flags
     assert "low_n_long" not in rep.flags
     assert rep.error is None
@@ -200,19 +196,18 @@ def test_contrast_report_negative_delta_flagged():
     # long cell centred left of the short cell
     short = sample_gamma(9.0, 15.0, 300, seed=98)   # mode ~120
     long_ = sample_gamma(4.0, 20.0, 300, seed=99)   # mode ~60
-    rep = contrast_report(filter_outliers(_cell(short, length="short")),
-                          filter_outliers(_cell(long_, length="long")))
+    rep = contrast_report("a", "t", _filtered(short), _filtered(long_))
     assert rep.delta_ms < 0
     assert "negative_delta" in rep.flags
 
 
-def test_contrast_report_validates_cell_identity():
-    with pytest.raises(ValueError):
-        contrast_report(_cell([70.0, 71.0], vowel="a"),
-                        _cell([130.0, 131.0], vowel="e", length="long"))
-    with pytest.raises(ValueError):
-        contrast_report(_cell([70.0, 71.0], corpus="x"),
-                        _cell([130.0, 131.0], length="long", corpus="y"))
+def test_contrast_report_names_a_non_finite_sample():
+    long_ = sample_gamma(7.0, 17.5, 120, seed=97)
+    rep = contrast_report("a", "t", np.array([70.0, 80.0, np.inf]), long_)
+    assert rep.error == "short: gamma fitting requires finite samples, got NaN or infinity"
+    assert rep.fit_short is None and rep.fit_long is not None
+    assert rep.area is None and rep.significant is False
+    assert (rep.n_short, rep.n_long) == (3, 120)
 
 
 def test_contrast_report_outlier_filter_toggle():
@@ -221,10 +216,8 @@ def test_contrast_report_outlier_filter_toggle():
     plant = float(arr.mean() + 5.0 * arr.std(ddof=1))
     spiked = list(base) + [plant]
     long_ = sample_gamma(8.0, 16.0, 200, seed=7)
-    filtered = contrast_report(filter_outliers(_cell(spiked, length="short")),
-                               filter_outliers(_cell(long_, length="long")))
-    raw = contrast_report(_cell(spiked, length="short"),
-                          _cell(long_, length="long"))
+    filtered = contrast_report("a", "t", _filtered(spiked), _filtered(long_))
+    raw = contrast_report("a", "t", spiked, long_)
     assert filtered.n_short == 999
     assert raw.n_short == 1000
 
@@ -232,12 +225,10 @@ def test_contrast_report_outlier_filter_toggle():
 def test_time_unit_equivariance():
     short = sample_gamma(6.0, 11.5, 500, seed=101)
     long_ = sample_gamma(7.0, 17.5, 300, seed=102)
-    base = contrast_report(filter_outliers(_cell(short, length="short")),
-                           filter_outliers(_cell(long_, length="long")))
+    base = contrast_report("a", "t", _filtered(short), _filtered(long_))
     for c in (0.5, 2.0, 10.0):
-        scaled = contrast_report(
-            filter_outliers(_cell([c * x for x in short], length="short")),
-            filter_outliers(_cell([c * x for x in long_], length="long")))
+        scaled = contrast_report("a", "t", _filtered([c * x for x in short]),
+                                 _filtered([c * x for x in long_]))
         assert scaled.r1 == pytest.approx(base.r1, rel=1e-6)
         assert scaled.r2 == pytest.approx(base.r2, rel=1e-6)
         assert scaled.area == pytest.approx(base.area, abs=1e-6)
@@ -252,13 +243,14 @@ def _tokens(vowel, length, durations):
 
 
 def _cells(tokens, corpus):
-    return {key: filter_outliers(cell)
+    return {key: filter_outliers(cell).samples
             for key, cell in collect_cells(tokens, corpus).items()}
 
 
 def test_compare_corpora_self_is_zero():
     toks = _tokens("a", "short", sample_gamma(6.0, 11.5, 200, seed=103))
-    res = compare_corpora("a", _cells(toks, "c1"), _cells(toks, "c1"), "short")
+    res = compare_corpora("a", "c1", _cells(toks, "c1"), "c1", _cells(toks, "c1"),
+                          "short")
     assert res.statistic == 0.0
     assert res.p_value == 1.0
     assert res.corpus_a == res.corpus_b == "c1"
@@ -267,7 +259,7 @@ def test_compare_corpora_self_is_zero():
 def test_compare_corpora_null_case_fixed_seeds():
     a = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=101))
     b = _tokens("a", "short", sample_gamma(4.0, 20.0, 1000, seed=202))
-    res = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "short")
+    res = compare_corpora("a", "A", _cells(a, "A"), "B", _cells(b, "B"), "short")
     assert res.p_value > 0.05
     assert res.vowel_class == "a"
     assert res.length_class == "short"
@@ -276,7 +268,7 @@ def test_compare_corpora_null_case_fixed_seeds():
 def test_compare_corpora_shifted_means_detected():
     a = _tokens("a", "short", sample_gamma(6.0, 69.0 / 6.0, 500, seed=301))
     b = _tokens("a", "short", sample_gamma(6.0, 94.0 / 6.0, 500, seed=302))
-    res = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "short")
+    res = compare_corpora("a", "A", _cells(a, "A"), "B", _cells(b, "B"), "short")
     assert res.p_value < 0.01
 
 
@@ -285,11 +277,11 @@ def test_compare_corpora_pooled_and_errors():
                            _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105))])
     b = TokenTable.concat([_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106)),
                            _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107))])
-    pooled = compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "pooled")
+    pooled = compare_corpora("a", "A", _cells(a, "A"), "B", _cells(b, "B"), "pooled")
     assert pooled.n1 <= 100 and pooled.n2 <= 80  # post filtering
 
     with pytest.raises(ValueError) as err:
-        compare_corpora("u", _cells(a, "A"), _cells(b, "B"), "short")
+        compare_corpora("u", "A", _cells(a, "A"), "B", _cells(b, "B"), "short")
     assert "u" in str(err.value)
     with pytest.raises(ValueError):
-        compare_corpora("a", _cells(a, "A"), _cells(b, "B"), "sideways")
+        compare_corpora("a", "A", _cells(a, "A"), "B", _cells(b, "B"), "sideways")

@@ -75,6 +75,13 @@ def test_fit_degenerate_data():
         fit_gamma([1.0, -2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_fit_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError) as err:
+        fit_gamma([70.0, 80.0, bad])
+    assert str(err.value) == "gamma fitting requires finite samples, got NaN or infinity"
+
+
 def test_fit_low_n_flagged_but_returned():
     draws = sample_gamma(4.0, 20.0, 12, seed=5)
     fit = fit_gamma(draws)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import oracles
@@ -189,12 +190,10 @@ def test_plotdata_identical_sets_have_equal_curves():
     from vlcontrast.features import contrast_report
     from vlcontrast.synthgen import sample_gamma
 
-    draws = tuple(sample_gamma(6.0, 11.5, 300, seed=77))
-    rep = contrast_report(
-        filter_outliers(DurationSampleSet("a", "short", "c", draws)),
-        filter_outliers(DurationSampleSet("a", "long", "c", draws)))
-    cells = {("a", length): DurationSampleSet("a", length, "c", draws)
-             for length in ("short", "long")}
+    draws = np.array(sample_gamma(6.0, 11.5, 300, seed=77))
+    kept = filter_outliers(DurationSampleSet("a", "short", "c", draws)).samples
+    rep = contrast_report("a", "c", kept, kept)
+    cells = {("a", length): draws for length in ("short", "long")}
     text = emit_plotdata(rep, cells, 10.0)
     for line in text.strip().splitlines()[1:]:
         _x, hs, hl, ps, pl = line.split(",")
@@ -206,10 +205,8 @@ def test_plotdata_rejects_degenerate_report():
     from vlcontrast.features import contrast_report
     from vlcontrast.synthgen import sample_gamma
 
-    short = tuple(sample_gamma(6.0, 11.5, 50, seed=78))
-    rep = contrast_report(
-        DurationSampleSet("a", "short", "c", short),
-        DurationSampleSet("a", "long", "c", (120.0,)))
+    short = np.array(sample_gamma(6.0, 11.5, 50, seed=78))
+    rep = contrast_report("a", "c", short, np.array([120.0]))
     with pytest.raises(ValueError):
         emit_plotdata(rep, {}, 10.0)
 
@@ -236,8 +233,7 @@ def _plot_columns(text):
 
 
 def test_plotdata_histogram_columns_are_step_densities():
-    cells = {("a", "short"): DurationSampleSet("a", "short", "c", (70.0, 130.0)),
-             ("a", "long"): DurationSampleSet("a", "long", "c", (300.0,))}
+    cells = {("a", "short"): np.array([70.0, 130.0]), ("a", "long"): np.array([300.0])}
     columns = _plot_columns(emit_plotdata(_report(), cells, 10.0))
     # 70.0 opens the bin [70, 80): 1 / (2 * 10)
     assert columns[70.0][0] == "0.05" and columns[75.0][0] == "0.05"
@@ -257,8 +253,7 @@ def test_plotdata_histogram_columns_are_step_densities():
 def test_plot_row_reads_the_bin_that_counts_it():
     # 7.0 / 0.1 rounds to 70.0, but 7.0 // 0.1 is 69.0: the samples are
     # counted in bin 70, [7.0, 7.1), so row 7.0 must read that bin
-    cells = {("a", "short"): DurationSampleSet("a", "short", "c", (7.0,) * 4),
-             ("a", "long"): DurationSampleSet("a", "long", "c", (300.0,))}
+    cells = {("a", "short"): np.full(4, 7.0), ("a", "long"): np.array([300.0])}
     assert build_histogram(cells[("a", "short")], 0.1)[70] == 4
     text = emit_plotdata(_report(), cells, 0.1)
     columns = _plot_columns(text)
@@ -282,9 +277,8 @@ def test_plotdata_equals_the_scalar_referee(data):
     fits = [GammaFit(data.draw(st.floats(0.5, 30.0), f"shape_{length}"),
                      data.draw(st.floats(0.5, 8.0), f"scale_{length}"))
             for length in ("short", "long")]
-    cells = {("a", length): DurationSampleSet(
-        "a", length, "c", data.draw(_positive_samples(width), length))
-        for length in ("short", "long")}
+    cells = {("a", length): np.array(data.draw(_positive_samples(width), length))
+             for length in ("short", "long")}
     rep = _report(fit_short=fits[0], fit_long=fits[1])
     assert (emit_plotdata(rep, cells, width)
             == oracles.emit_plotdata_scalar(rep, cells, width))
@@ -852,6 +846,58 @@ def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
     assert _tree(tmp_path / "out") == before
 
 
+# sha256 of every file a two-corpus run writes (CTM + TextGrid, one
+# comparison, all three formats), with and without the outlier filter,
+# recorded while the cells still travelled as DurationSampleSet records.
+# run_metadata.json is hashed without its config_sha256 line, which
+# covers the tmp_path paths.
+TWO_CORPUS_PIN_SHA256 = {
+    True: {
+        "corpA/diagnostics.json": "4650e75be9d9887a6c4675f5a260544bf04a3429fc54f2db47ecbb72e0b45fb4",
+        "corpA/features.csv": "c18435c3a707ebf196839436c2bf01a8b27e4ae446f344d834beb5cf04ec4cd9",
+        "corpA/features.json": "dc6edf828c72a453cf35261d790e9e6666ca03c75e10efd8751332d21948d50a",
+        "corpA/features.md": "16518cf9dd40e6e6a101df974e42e68459952b93a4853dd17735a5e152e6c15a",
+        "corpA/plot_a.csv": "ba80ec085a32a673f3f9ca21ddfe024fa86c6571fee539c2619076587e420baa",
+        "corpB/diagnostics.json": "c9c1a41908d138d8c44f433d1bf26dca0fd977c883e45b70515b309ec3694c7c",
+        "corpB/features.csv": "ab7ccb158efe3ea1e3cfe9ee3f894edbd5f886a06a1abc9348d4c167d98449e4",
+        "corpB/features.json": "9f661fd5d7975456ee026d19344361a7fc0d1624210c178698d66a1aede3d782",
+        "corpB/features.md": "833edfd3562884fc24a50da8da17f3bd6fc1144456625b24ec1cec82f6097403",
+        "corpB/plot_a.csv": "4dcbafce9d0e1ebe370ed95ffe171b51739536e3eed1ea76c528abd0571ebc78",
+        "ks_corpA_vs_corpB.csv": "1d78fa2f3488d2eef998ee706b8bb00d9763462c234c47cb703fc857c23666fc",
+        "ks_corpA_vs_corpB.json": "8004ecfa0ecfca82933097b74ee6e8337c7670e28413942a2fee08bf1d21eea4",
+        "run_metadata.json": "56375e3433dcd7233374adc72b33e43fced6e2e145dfcc3be4bd94167aca9956",
+    },
+    False: {
+        "corpA/diagnostics.json": "36e1db9573c5eba835a2b6351e50a42ab55ee22222481c4fc5b9626a8b780ba6",
+        "corpA/features.csv": "8cf2426c05b0c19a605723e81775e4bd5b4f6c894fbcc8616ce38437ef6f3108",
+        "corpA/features.json": "bae9cd513fc57b6dd6a9a911a6ad1a39e4e9745793e100b35633d9ef7b122a7f",
+        "corpA/features.md": "4050174f781b576778f864dc5ad29b1fd0480b639ff269476ea97179ec525daa",
+        "corpA/plot_a.csv": "46453c73cb3fffe8e39311f3c36c7cb54efe3c1280d0337475f48c37190d70b7",
+        "corpB/diagnostics.json": "e71ee7f68f81c61af68dee0bb96ca06a4d31b10233e522eb173aec79fac1a399",
+        "corpB/features.csv": "b808c6c5dad28935635de6aaabeb330957de17d53857c69ffdfbfd53e06de8ca",
+        "corpB/features.json": "b9494fc953845546c0a36775a7acd47515ebcf802ebf80e5fa29ece4f68c6ade",
+        "corpB/features.md": "93adf850581790b23609781604ee087490d6f0b05f2543604f66c45ef4c964ca",
+        "corpB/plot_a.csv": "6208704a32dd936f11b2498cb71d8757d65c413ebd399c06b5e17f507c8e41c1",
+        "ks_corpA_vs_corpB.csv": "2daa14954593eb62988df7a2a02830ee5aeb3a02a70d811bd1bb2190841211c4",
+        "ks_corpA_vs_corpB.json": "52d66dfe93d5dde3134f51ef9ce442b644b57c85491b856cdbf1d267b1083239",
+        "run_metadata.json": "29097fccf85eb0fbb07934d3cbced47f82fa88444c517706d2beb95c5100ef5e",
+    },
+}
+
+
+@pytest.mark.parametrize("filtering", [True, False])
+def test_two_corpus_output_tree_is_pinned(tmp_path, filtering):
+    out = tmp_path / "out"
+    run_analysis(_two_corpus_config(tmp_path, outlier_filtering=filtering))
+    written = {}
+    for path, data in _tree(out).items():
+        if path.name == "run_metadata.json":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.startswith(b'  "config_sha256": '))
+        written[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    assert written == TWO_CORPUS_PIN_SHA256[filtering]
+
+
 def _config_json(**extra):
     obj = {"corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}],
            "output_dir": "o"}
@@ -964,6 +1010,38 @@ def test_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
         corpora=[dict(corpus, corpus_id="read.v2")])).corpora[0].corpus_id == "read.v2"
 
     config_path = _small_ctm_config(tmp_path, corpus_id="../escape")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert "corpus_id" in capsys.readouterr().err
+    assert not (tmp_path / "outx").exists()
+
+
+@pytest.mark.parametrize("corpus_id, formats, clash", [
+    ("run_metadata.json", ("csv",), True),
+    ("run_metadata.json.tmp", ("csv",), True),
+    ("ks_a_vs_b.csv", ("csv",), True),
+    ("ks_a_vs_b.csv.tmp", ("csv",), True),
+    ("ks_a_vs_b.json", ("csv", "json"), True),
+    ("ks_a_vs_b.json.tmp", ("json",), True),
+    ("ks_a_vs_b.json", ("csv",), False),  # no KS JSON is written
+    ("ks_b_vs_a.csv", ("csv",), False),  # not a configured comparison
+    ("run_metadata", ("csv",), False),
+])
+def test_corpus_id_may_not_name_a_file_written_in_output_dir(corpus_id, formats, clash):
+    make = partial(AnalysisConfig, corpora=(
+        CorpusSource("a", ("x.ctm",), "ctm"), CorpusSource("b", ("y.ctm",), "ctm"),
+        CorpusSource(corpus_id, ("z.ctm",), "ctm")),
+        output_dir="o", output_formats=formats, comparisons=(("a", "b"),))
+    if not clash:
+        assert make().corpora[2].corpus_id == corpus_id
+        return
+    with pytest.raises(ConfigError) as err:
+        make()
+    assert str(err.value) == (f"config key 'corpus_id' {corpus_id!r} names a file "
+                              "the run writes in output_dir")
+
+
+def test_a_corpus_named_like_the_metadata_file_writes_nothing(tmp_path, capsys):
+    config_path = _small_ctm_config(tmp_path, corpus_id="run_metadata.json")
     assert cli_main(["analyze", "--config", str(config_path)]) == 2
     assert "corpus_id" in capsys.readouterr().err
     assert not (tmp_path / "outx").exists()

@@ -236,8 +236,9 @@ def test_pipeline_closure_large_n():
     short = sample_gamma(6.0, 11.5, 10_000, seed=401)
     long_ = sample_gamma(125.0 / 17.5, 17.5, 10_000, seed=1401)
     rep = contrast_report(
-        filter_outliers(DurationSampleSet("a", "short", "closure", tuple(short))),
-        filter_outliers(DurationSampleSet("a", "long", "closure", tuple(long_))))
+        "a", "closure",
+        filter_outliers(DurationSampleSet("a", "short", "closure", short)).samples,
+        filter_outliers(DurationSampleSet("a", "long", "closure", long_)).samples)
     assert abs(rep.area - true_area) < 0.03
 
 
