@@ -51,9 +51,21 @@ logger = logging.getLogger(__name__)
 CONTRASTED_VOWELS = ("i", "e", "ɛ", "a", "ɔ", "o", "u")
 VOWEL_CLASSES = CONTRASTED_VOWELS + ("ə",)
 LENGTH_CLASSES = ("short", "long")
-# Every (vowel, length) pair; a TokenTable's cell codes index this tuple.
-CELLS = tuple(product(VOWEL_CLASSES, LENGTH_CLASSES))
+# Every (vowel, length) cell; a TokenTable's cell codes index this tuple.
+CELLS = tuple(cell for cell in product(VOWEL_CLASSES, LENGTH_CLASSES)
+              if cell != ("ə", "long"))
 _CELL_CODES = {cell: code for code, cell in enumerate(CELLS)}
+
+
+def _cell_problem(vowel: str, length: str) -> str | None:
+    """Why (vowel, length) is not one of CELLS, or None when it is."""
+    if vowel not in VOWEL_CLASSES:
+        return f"unknown vowel class {vowel!r}"
+    if length not in LENGTH_CLASSES:
+        return f"unknown length class {length!r}"
+    if (vowel, length) not in _CELL_CODES:
+        return f"{vowel} has no {length} counterpart"
+    return None
 
 
 class ParseError(ValueError):
@@ -74,36 +86,66 @@ class ConfigError(ValueError):
     """Invalid analysis configuration or corpus spec."""
 
 
-def _unique_keys(error: type[ValueError]):
-    """A `json.loads` object_pairs_hook that raises `error` naming a key
-    given twice in one object, where json would keep the last value."""
-    def hook(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise error(f"key {key!r} is given twice")
-            obj[key] = value
-        return obj
-    return hook
-
-
 def _list_of(kind):
     return lambda value: isinstance(value, list) and all(
         isinstance(item, kind) for item in value)
 
 
+# The least integer that float() cannot hold; a JSON integer may be larger.
+_FLOAT_LIMIT = 2**1024 - 2**970
+# Key-table rules: a check of a JSON value and what the check wants.
 _STRING = (lambda v: isinstance(v, str), "a string")
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) is float or (type(v) is int and abs(v) < _FLOAT_LIMIT),
+           "a number in float range")
 
 
-def _check_entry(entry: dict, types: dict) -> None:
-    """Reject unknown keys and values of the wrong JSON type, naming the key."""
+def _check_entry(entry, types: dict, required, where: str,
+                 error: type[ValueError]) -> None:
+    """Reject a non-object, unknown keys, missing `required` keys and values
+    of the wrong JSON type, naming the key and `where` the entry sits."""
+    if not isinstance(entry, dict):
+        raise error(f"{where}: not a JSON object")
     unknown = sorted(set(entry) - set(types))
     if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown}")
+        raise error(f"{where}: unknown key(s) {unknown}")
+    missing = sorted(set(required) - set(entry))
+    if missing:
+        raise error(f"{where}: missing key(s) {missing}")
     for key, value in entry.items():
         valid, expected = types[key]
         if not valid(value):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+            raise error(f"{where}: key {key!r} must be {expected}, got {value!r}")
+
+
+def _json_object(text: str, where: str, types: dict, required,
+                 error: type[ValueError]) -> dict:
+    """Parse `text` as one JSON object and check it with `_check_entry`;
+    every mistake raises `error`, with a message that starts with `where`."""
+    def unique_keys(pairs):  # json would keep the last value of a repeated key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise error(f"{where}: key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
+    try:
+        obj = json.loads(text, object_pairs_hook=unique_keys)
+    except error:
+        raise
+    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+        raise error(f"{where}: invalid JSON: {exc}") from None
+    _check_entry(obj, types, required, where, error)
+    return obj
+
+
+def _check_corpus_id(corpus_id: str) -> None:
+    """A corpus id names a directory the run writes, so it must be one
+    plain path component."""
+    if corpus_id in ("", ".", "..") or {"/", "\\"} & set(corpus_id):
+        raise ConfigError("config key 'corpus_id' must be one plain path "
+                          f"component, got {corpus_id!r}")
 
 
 def _nfc(s: str) -> str:
@@ -213,12 +255,9 @@ class PhoneMap:
                     "whitespace, so no aligned phone can match it")
             label_n = _nfc(label)
             vowel_n = _nfc(vowel)
-            if vowel_n not in VOWEL_CLASSES:
-                raise PhoneMapError(f"unknown vowel class {vowel!r} for {label!r}")
-            if length not in LENGTH_CLASSES:
-                raise PhoneMapError(f"unknown length class {length!r} for {label!r}")
-            if vowel_n == "ə" and length == "long":
-                raise PhoneMapError("ə has no long counterpart")
+            problem = _cell_problem(vowel_n, length)
+            if problem:
+                raise PhoneMapError(f"{problem} for {label!r}")
             if label_n in normalized and normalized[label_n] != (vowel_n, length):
                 raise PhoneMapError(f"phone label {label!r} mapped to two cells")
             normalized[label_n] = (vowel_n, length)
@@ -245,29 +284,24 @@ def default_phone_map() -> PhoneMap:
     return PhoneMap(entries)
 
 
+# The phone map's keys, at the top level and per entry.
+_PHONE_MAP_TYPES = {"phones": (lambda v: isinstance(v, dict),
+                               "an object of phone entries")}
+_PHONE_TYPES = {"vowel": _STRING, "length": _STRING}
+
+
 def load_phone_map(text: str) -> PhoneMap:
     """Parse the JSON phone-map format:
 
     { "phones": { "<label>": {"vowel": "<class>", "length": "short"|"long"} } }
     """
-    try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys(PhoneMapError))
-    except json.JSONDecodeError as exc:
-        raise PhoneMapError(f"invalid JSON in phone map: {exc}") from exc
-    if not isinstance(obj, dict) or not isinstance(obj.get("phones"), dict):
-        raise PhoneMapError('phone map must be an object with a "phones" table')
-    unknown = sorted(set(obj) - {"phones"})
-    if unknown:
-        raise PhoneMapError(f"unknown phone map key(s) {unknown}")
-    entries: dict[str, tuple[str, str]] = {}
-    for label, spec in obj["phones"].items():
-        if not isinstance(spec, dict) or "vowel" not in spec or "length" not in spec:
-            raise PhoneMapError(f'entry {label!r} needs "vowel" and "length"')
-        unknown = sorted(set(spec) - {"vowel", "length"})
-        if unknown:
-            raise PhoneMapError(f"entry {label!r} has unknown key(s) {unknown}")
-        entries[label] = (str(spec["vowel"]), str(spec["length"]))
-    return PhoneMap(entries)
+    phones = _json_object(text, "phone map", _PHONE_MAP_TYPES, _PHONE_MAP_TYPES,
+                          PhoneMapError)["phones"]
+    for label, entry in phones.items():
+        _check_entry(entry, _PHONE_TYPES, _PHONE_TYPES,
+                     f"phone map entry {label!r}", PhoneMapError)
+    return PhoneMap({label: (entry["vowel"], entry["length"])
+                     for label, entry in phones.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,8 @@ def contrast_report(vowel_class: str, corpus_id: str,
     for side, samples in (("short", short_ms), ("long", long_ms)):
         x = np.asarray(samples, dtype=np.float64)
         base[f"n_{side}"] = x.size
-        base[f"mean_{side}_ms"] = float(x.mean()) if x.size else None
+        mean = float(x.mean()) if x.size else math.nan
+        base[f"mean_{side}_ms"] = mean if math.isfinite(mean) else None
         try:
             fits[side] = fit_gamma(x)
         except (DegenerateDataError, ValueError) as exc:

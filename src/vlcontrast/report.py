@@ -13,7 +13,9 @@ float precision in CSV/JSON, and atomic write-then-rename file emission.
 from __future__ import annotations
 
 import codecs
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -25,14 +27,16 @@ import numpy as np
 
 from . import __version__
 from .alignment import (
+    _NUMBER,
     _STRING,
     ConfigError,
     ParseError,
     PhoneMap,
     TokenTable,
+    _check_corpus_id,
     _check_entry,
+    _json_object,
     _list_of,
-    _unique_keys,
     default_phone_map,
     extract_vowel_tokens,
     load_phone_map,
@@ -85,13 +89,12 @@ class CorpusSource:
 
 
 _STRING_OR_NULL = (lambda v: v is None or isinstance(v, str), "a string or null")
-# The keys AnalysisConfig.from_json accepts, at the top level and per
-# corpus, each with a check of its JSON value and what the check wants.
+# The keys AnalysisConfig.from_json accepts, at the top level and per corpus.
 _CONFIG_TYPES = {
     "corpora": (_list_of(dict), "a list of corpus objects"),
     "output_dir": _STRING,
     "phone_map": _STRING_OR_NULL,
-    "bin_width_ms": (lambda v: type(v) in (int, float), "a number"),
+    "bin_width_ms": _NUMBER,
     "outlier_filtering": (lambda v: type(v) is bool, "true or false"),
     "output_formats": (_list_of(str), "a list of strings"),
     "comparisons": (lambda v: _list_of(list)(v) and all(
@@ -132,9 +135,7 @@ class AnalysisConfig:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate corpus ids in {ids}")
         for c in self.corpora:
-            if c.corpus_id in ("", ".", "..") or {"/", "\\"} & set(c.corpus_id):
-                raise ConfigError("config key 'corpus_id' must be one plain path "
-                                  f"component, got {c.corpus_id!r}")
+            _check_corpus_id(c.corpus_id)
             if c.format not in ("textgrid", "ctm"):
                 raise ConfigError(f"unknown corpus format {c.format!r}")
             if not c.paths:
@@ -169,29 +170,14 @@ class AnalysisConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisConfig":
-        try:
-            obj = json.loads(text, object_pairs_hook=_unique_keys(ConfigError))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ConfigError("config must be a JSON object")
-        _check_entry(obj, _CONFIG_TYPES)
-        for corpus in obj.get("corpora", []):
-            _check_entry(corpus, _CORPUS_TYPES)
-        try:
-            corpora = tuple(
-                CorpusSource(
-                    corpus_id=c["corpus_id"],
-                    paths=tuple(c["paths"]) if isinstance(c["paths"], list)
-                    else (c["paths"],),
-                    format=c["format"],
-                )
-                for c in obj.get("corpora", ())
-            )
-        except KeyError as exc:
-            raise ConfigError(f"config is missing key {exc}") from exc
-        if "output_dir" not in obj:
-            raise ConfigError("config is missing key 'output_dir'")
+        obj = _json_object(text, "config", _CONFIG_TYPES, ("corpora", "output_dir"),
+                           ConfigError)
+        corpora = []
+        for i, c in enumerate(obj["corpora"]):
+            _check_entry(c, _CORPUS_TYPES, _CORPUS_TYPES, f"config corpora[{i}]",
+                         ConfigError)
+            paths = [c["paths"]] if isinstance(c["paths"], str) else c["paths"]
+            corpora.append(CorpusSource(**dict(c, paths=tuple(paths))))
         # the keys the JSON gives; the dataclass holds every default
         fields = {"phone_map_path" if key == "phone_map" else key: value
                   for key, value in obj.items()}
@@ -306,10 +292,11 @@ def emit_table(reports, fmt: str) -> str:
     if not reports:
         raise ValueError("emit_table needs at least one report")
     if fmt == "csv":
-        lines = [",".join(TABLE_COLUMNS)]
-        for r in reports:
-            lines.append(",".join(_table_row(r, full_precision=True)))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(TABLE_COLUMNS)
+        writer.writerows(_table_row(r, full_precision=True) for r in reports)
+        return out.getvalue()
     if fmt == "json":
         return _json_text({
             "corpus_id": reports[0].corpus_id,

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (_STRING, CELLS, VOWEL_CLASSES, ConfigError, TokenTable,
-                        _check_entry, _list_of, _unique_keys)
+from .alignment import (_INTEGER, _NUMBER, _STRING, CELLS, ConfigError, TokenTable,
+                        _cell_problem, _check_corpus_id, _check_entry, _json_object,
+                        _list_of)
 
 __all__ = ["Xoshiro256", "CellSpec", "CorpusSpec", "SynthCorpus",
            "sample_gamma", "generate_corpus"]
@@ -271,18 +271,15 @@ class CellSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if self.vowel_class not in VOWEL_CLASSES:
-            raise ValueError(f"unknown vowel class {self.vowel_class!r}")
-        if self.length_class not in ("short", "long"):
-            raise ValueError(f"unknown length class {self.length_class!r}")
-        if self.vowel_class == "ə" and self.length_class == "long":
-            raise ValueError("ə has no long counterpart")
+        problem = _cell_problem(self.vowel_class, self.length_class)
+        if problem:
+            raise ConfigError(problem)
         if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
-            raise ValueError(
+            raise ConfigError(
                 f"cell {self.vowel_class}/{self.length_class}: shape and scale "
                 f"must be positive and finite, got {self.shape!r} and {self.scale!r}")
         if self.count < 0:
-            raise ValueError("cell count must be >= 0")
+            raise ConfigError("cell count must be >= 0")
 
     @property
     def phone_label(self) -> str:
@@ -295,56 +292,37 @@ class CellSpec:
 @dataclass(frozen=True)
 class CorpusSpec:
     corpus_id: str
-    seed: int
-    cells: tuple[CellSpec, ...]
+    seed: int = 0
+    cells: tuple[CellSpec, ...] = ()
     utterance_size: int = 10
-    emit_formats: tuple[str, ...] = ("textgrid", "ctm")
+    emit_formats: tuple[str, ...] = EMIT_FORMATS
 
     def __post_init__(self) -> None:
-        if not self.corpus_id:
-            raise ValueError("corpus_id must be non-empty")
+        _check_corpus_id(self.corpus_id)
         if self.utterance_size < 1:
-            raise ValueError("utterance_size must be >= 1")
+            raise ConfigError("utterance_size must be >= 1")
         for fmt in self.emit_formats:
             if fmt not in EMIT_FORMATS:
-                raise ValueError(f"unknown emit format {fmt!r}")
+                raise ConfigError(f"unknown emit format {fmt!r}")
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(self, "emit_formats", tuple(self.emit_formats))
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
-        """Parse a spec; an unknown key or a value of the wrong JSON type
-        raises ConfigError (a ValueError) naming the key, as does a key
-        given twice."""
-        obj = json.loads(text, object_pairs_hook=_unique_keys(ConfigError))
-        if not isinstance(obj, dict):
-            raise ConfigError("corpus spec must be a JSON object")
-        _check_entry(obj, _SPEC_TYPES)
+        """Parse a spec; every mistake raises ConfigError (a ValueError)."""
+        obj = _json_object(text, "corpus spec", _SPEC_TYPES, ("corpus_id",),
+                           ConfigError)
         cells = []
         for i, c in enumerate(obj.get("cells", ())):
-            try:
-                _check_entry(c, _CELL_TYPES)
-                cells.append(CellSpec(c["vowel"], c["length"], float(c["shape"]),
-                                      float(c["scale"]), c["count"]))
-            except ConfigError as exc:
-                raise ConfigError(f"cells[{i}]: {exc}") from None
-            except KeyError as exc:
-                raise ConfigError(f"cells[{i}] is missing key {exc}") from None
-        if "corpus_id" not in obj:
-            raise ConfigError("corpus spec is missing key 'corpus_id'")
-        return cls(
-            corpus_id=obj["corpus_id"],
-            seed=obj.get("seed", 0),
-            cells=tuple(cells),
-            utterance_size=obj.get("utterance_size", 10),
-            emit_formats=tuple(obj.get("emit_formats", EMIT_FORMATS)),
-        )
+            _check_entry(c, _CELL_TYPES, _CELL_TYPES, f"corpus spec cells[{i}]",
+                         ConfigError)
+            cells.append(CellSpec(c["vowel"], c["length"], float(c["shape"]),
+                                  float(c["scale"]), c["count"]))
+        # the keys the JSON gives; the dataclass holds every default
+        return cls(**dict(obj, cells=cells))
 
 
-_INTEGER = (lambda v: type(v) is int, "an integer")
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
-# The keys CorpusSpec.from_json accepts, at the top level and per cell,
-# each with a check of its JSON value and what the check wants.
+# The keys CorpusSpec.from_json accepts, at the top level and per cell.
 _SPEC_TYPES = {
     "corpus_id": _STRING,
     "seed": _INTEGER,

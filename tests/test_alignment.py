@@ -7,6 +7,7 @@ import pytest
 from tables import rows
 
 from vlcontrast.alignment import (
+    CELLS,
     IntervalTable,
     ParseError,
     PhoneMap,
@@ -270,6 +271,9 @@ def test_default_map_shape():
         assert (v, "short") in cells and (v, "long") in cells
     assert ("ə", "short") in cells
     assert ("ə", "long") not in cells
+    # the cells a token can fall in: every vowel short, all but ə long
+    assert cells == set(CELLS) and len(CELLS) == 15
+    assert ("ə", "long") not in CELLS
     # reduplication and colon aliases both land on the long cell
     assert pm.entries["aa"] == ("a", "long")
     assert pm.entries["a:"] == ("a", "long")
@@ -296,13 +300,13 @@ def test_load_phone_map_roundtrip_and_errors():
 
 @pytest.mark.parametrize("text, message", [
     ('{"phones": {"a": {"vowel": "a", "length": "short"},'
-     ' "a": {"vowel": "e", "length": "short"}}}', "key 'a' is given twice"),
+     ' "a": {"vowel": "e", "length": "short"}}}', "phone map: key 'a' is given twice"),
     ('{"phones": {"a": {"vowel": "a", "length": "short", "length": "long"}}}',
-     "key 'length' is given twice"),
+     "phone map: key 'length' is given twice"),
     ('{"phones": {"a": {"vowel": "a", "length": "short", "lenght": "long"}}}',
-     "entry 'a' has unknown key(s) ['lenght']"),
+     "phone map entry 'a': unknown key(s) ['lenght']"),
     ('{"phones": {"a": {"vowel": "a", "length": "short"}}, "phonez": {}}',
-     "unknown phone map key(s) ['phonez']"),
+     "phone map: unknown key(s) ['phonez']"),
 ], ids=["label_twice", "entry_key_twice", "unknown_entry_key", "unknown_top_key"])
 def test_phone_map_names_a_repeated_or_unknown_key(text, message):
     with pytest.raises(PhoneMapError) as err:

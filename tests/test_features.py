@@ -208,6 +208,11 @@ def test_contrast_report_names_a_non_finite_sample():
     assert rep.fit_short is None and rep.fit_long is not None
     assert rep.area is None and rep.significant is False
     assert (rep.n_short, rep.n_long) == (3, 120)
+    # a non-finite sample leaves no mean; a finite n = 1 cell keeps its mean
+    assert rep.mean_short_ms is None and rep.mean_long_ms == float(np.mean(long_))
+    one = contrast_report("a", "t", long_, np.array([120.0]))
+    assert one.error == "long: need at least 2 samples, got 1"
+    assert one.mean_long_ms == 120.0
 
 
 def test_contrast_report_outlier_filter_toggle():

@@ -1,6 +1,8 @@
 """End-to-end analysis runs, table/plot emission, CLI behavior."""
 
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -15,7 +17,7 @@ from tables import rows
 from vlcontrast import alignment
 from vlcontrast.cli import main as cli_main
 from vlcontrast.durations import DurationSampleSet, build_histogram
-from vlcontrast.features import ContrastReport
+from vlcontrast.features import ContrastReport, contrast_report
 from vlcontrast.gamma import GammaFit
 from vlcontrast.report import (
     AnalysisConfig,
@@ -282,6 +284,15 @@ def test_plotdata_equals_the_scalar_referee(data):
     rep = _report(fit_short=fits[0], fit_long=fits[1])
     assert (emit_plotdata(rep, cells, width)
             == oracles.emit_plotdata_scalar(rep, cells, width))
+
+
+def test_features_csv_quotes_an_error_that_holds_commas():
+    rep = contrast_report("a", "t", np.linspace(60.0, 90.0, 30), np.array([120.0]))
+    table = emit_table([rep], "csv")
+    parsed = list(csv.reader(io.StringIO(table)))
+    assert [len(row) for row in parsed] == [12, 12]
+    assert parsed[1][-1] == rep.error == "long: need at least 2 samples, got 1"
+    assert table.endswith(',"long: need at least 2 samples, got 1"\n')
 
 
 def test_features_json_round_trips_missing_fit_and_nan_likelihood():
@@ -708,6 +719,8 @@ def test_acceptance_corpus_outputs_are_pinned():
     ('"shape": Infinity, "scale": 11.5', "a/short"),
     ('"shape": 6.0, "scale": NaN', "a/short"),
     ('"shape": 6.0, "scale": 1e308', "a/short"),
+    pytest.param('"shape": 1' + "0" * 400 + ', "scale": 11.5', "'shape'",
+                 id="shape-too-large-for-a-float"),
 ])
 def test_cli_synth_rejects_non_finite_cells(tmp_path, capsys, cell, named):
     spec_path = tmp_path / "spec.json"
@@ -996,6 +1009,13 @@ def test_non_finite_bin_width_is_a_config_error_naming_the_key(tmp_path, capsys)
         assert cli_main(["analyze", "--config", str(config_path),
                          "--bin-width", bad]) == 2
         assert "bin_width_ms" in capsys.readouterr().err
+    # a JSON integer too large for a float
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps(dict(config, bin_width_ms=10 ** 400)),
+                           encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'bin_width_ms'" in err
     assert not (tmp_path / "outx").exists()
 
 
@@ -1013,6 +1033,22 @@ def test_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
     assert cli_main(["analyze", "--config", str(config_path)]) == 2
     assert "corpus_id" in capsys.readouterr().err
     assert not (tmp_path / "outx").exists()
+
+
+def test_synth_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
+    for bad in ("", ".", "..", "../escape", "a/b", "a\\b", "/abs"):
+        with pytest.raises(ConfigError) as err:
+            CorpusSpec(bad, seed=1, cells=())
+        assert str(err.value) == ("config key 'corpus_id' must be one plain "
+                                  f"path component, got {bad!r}")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"corpus_id": "../escaped", "cells": [
+        {"vowel": "a", "length": "short", "shape": 6.0, "scale": 11.5,
+         "count": 3}]}), encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert cli_main(["synth", "--spec", str(spec_path), "--outdir", str(outdir)]) == 2
+    assert "corpus_id" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
 @pytest.mark.parametrize("corpus_id, formats, clash", [
