@@ -307,33 +307,9 @@ def load_phone_map(text: str) -> PhoneMap:
 # ---------------------------------------------------------------------------
 # Praat TextGrid (long text format)
 
-_KV_RE = re.compile(r'^\s*([A-Za-z?!]+(?:\s+[A-Za-z?!]+)*)\s*=\s*(.*?)\s*$')
 _ITEM_RE = re.compile(r'^\s*(item|intervals|points)\s*\[\s*\d*\s*\]\s*:\s*$')
 _ITEMS_RE = re.compile(r'^\s*item\s*\[\s*\]\s*:\s*$')  # "item []:", no number
 _SIZE_RE = re.compile(r'^\s*(intervals|points)\s*:\s*size\s*=\s*(.*?)\s*$')
-
-
-class _TextGridScanner:
-    """Line cursor that keeps 1-based line numbers for error reporting."""
-
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_content(self) -> tuple[int, str] | None:
-        while self.pos < len(self.lines):
-            self.pos += 1
-            stripped = self.lines[self.pos - 1].strip()
-            if stripped:
-                return self.pos, stripped
-        return None
-
-    def expect(self, what: str) -> tuple[int, str]:
-        item = self.next_content()
-        if item is None:
-            raise ParseError(f"unexpected end of file, expected {what}",
-                             len(self.lines) or 1)
-        return item
 
 
 def _unquote(value: str, lineno: int) -> str:
@@ -360,24 +336,6 @@ def _parse_count(value: str, lineno: int, what: str) -> int:
     return int(number)
 
 
-def _expect_kv(scanner: _TextGridScanner, key: str) -> tuple[int, str]:
-    lineno, line = scanner.expect(f'"{key} = ..."')
-    m = _KV_RE.match(line)
-    if not m or m.group(1).replace(" ", "") != key.replace(" ", ""):
-        if key in ("xmin", "xmax") and re.fullmatch(r"[-+0-9.eE]+", line):
-            raise ParseError(
-                "bare number where a key = value line was expected; "
-                "short TextGrid format is not supported (save as the "
-                "Praat long/'ooTextFile' text format)", lineno)
-        raise ParseError(f"expected {key!r} assignment, got {line!r}", lineno)
-    return lineno, m.group(2)
-
-
-def _expect_number(scanner: _TextGridScanner, key: str) -> tuple[int, float, str]:
-    lineno, value = _expect_kv(scanner, key)
-    return lineno, _parse_number(value, lineno, key), value
-
-
 def _decimal_difference(lo_text: str, hi_text: str) -> float:
     """hi - lo computed on the decimal strings, so that a boundary pair
     like (20.1234, 20.1407) yields exactly the double nearest to 0.0173,
@@ -395,46 +353,73 @@ def parse_textgrid(text: str, utterance_id: str = ""):
     Empty-label intervals are dropped; point tiers are skipped with a
     warning.  Raises ParseError (with line number) on malformed input.
     """
-    scanner = _TextGridScanner(text)
-    lineno, header = scanner.expect("TextGrid header")
+    raw = text.splitlines()
+    # (line number, stripped text) of each non-blank line, then an end mark
+    lines = [(n, s) for n, s in enumerate(map(str.strip, raw), start=1) if s]
+    lines.append((len(raw) or 1, None))
+    pos = 0
+
+    def next_line(what: str) -> tuple[int, str]:
+        nonlocal pos
+        lineno, line = lines[pos]
+        if line is None:
+            raise ParseError(f"unexpected end of file, expected {what}", lineno)
+        pos += 1
+        return lineno, line
+
+    def next_value(key: str) -> tuple[int, str]:
+        """The value of the next line, which must be `key = value`; the
+        key is compared with its spaces removed."""
+        lineno, line = next_line(f'"{key} = ..."')
+        name, eq, value = line.partition("=")
+        if not eq or name.rstrip().replace(" ", "") != key:
+            if key in ("xmin", "xmax") and re.fullmatch(r"[-+0-9.eE]+", line):
+                raise ParseError(
+                    "bare number where a key = value line was expected; "
+                    "short TextGrid format is not supported (save as the "
+                    "Praat long/'ooTextFile' text format)", lineno)
+            raise ParseError(f"expected {key!r} assignment, got {line!r}", lineno)
+        return lineno, value.strip()
+
+    def next_number(key: str) -> tuple[int, float, str]:
+        lineno, value = next_value(key)
+        return lineno, _parse_number(value, lineno, key), value
+
+    lineno, header = next_line("TextGrid header")
     if header.lstrip("\ufeff") != 'File type = "ooTextFile"':
         raise ParseError(
             f'not an ooTextFile TextGrid (header {header!r})', lineno)
-    lineno, klass = scanner.expect("Object class")
+    lineno, klass = next_line("Object class")
     if klass != 'Object class = "TextGrid"':
         raise ParseError(f"not a TextGrid object: {klass!r}", lineno)
 
-    _, xmin, _ = _expect_number(scanner, "xmin")
-    xmax_line, xmax, _ = _expect_number(scanner, "xmax")
+    _, xmin, _ = next_number("xmin")
+    xmax_line, xmax, _ = next_number("xmax")
     if xmax < xmin:
         raise ParseError(f"file xmax {xmax} < xmin {xmin}", xmax_line)
-    lineno, tiers_flag = scanner.expect("tiers? flag")
+    lineno, tiers_flag = next_line("tiers? flag")
     if not tiers_flag.startswith("tiers?"):
         raise ParseError(f"expected tiers? flag, got {tiers_flag!r}", lineno)
     if "<exists>" not in tiers_flag:
         return []
-    lineno, size = _expect_kv(scanner, "size")
+    lineno, size = next_value("size")
     n_tiers = _parse_count(size, lineno, "tier count")
+    if _ITEMS_RE.match(lines[pos][1] or ""):
+        pos += 1  # the optional "item []:" line
 
     tiers = []
-    # optional "item []:" header
-    saved = scanner.pos
-    item = scanner.next_content()
-    if item is None or not _ITEMS_RE.match(item[1]):
-        scanner.pos = saved
-
     for _ in range(n_tiers):
-        lineno, line = scanner.expect("item [...] header")
+        lineno, line = next_line("item [...] header")
         if not _ITEM_RE.match(line):
             raise ParseError(f"expected tier item header, got {line!r}", lineno)
-        class_line, klass_v = _expect_kv(scanner, "class")
+        class_line, klass_v = next_value("class")
         tier_class = _unquote(klass_v, class_line)
-        lineno, name_v = _expect_kv(scanner, "name")
+        lineno, name_v = next_value("name")
         tier_name = _unquote(name_v, lineno)
-        _expect_number(scanner, "xmin")
-        _expect_number(scanner, "xmax")
+        next_number("xmin")
+        next_number("xmax")
 
-        lineno, line = scanner.expect("size of tier contents")
+        lineno, line = next_line("size of tier contents")
         m = _SIZE_RE.match(line)
         if not m:
             raise ParseError(f"expected intervals/points size, got {line!r}", lineno)
@@ -443,9 +428,9 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         if tier_class == "TextTier":
             logger.warning("skipping point tier %r (%d points)", tier_name, count)
             for _ in range(count):
-                scanner.expect("point header")  # points [i]:
-                _expect_number(scanner, "number")
-                lineno, mark = _expect_kv(scanner, "mark")
+                next_line("point header")  # points [i]:
+                next_number("number")
+                lineno, mark = next_value("mark")
                 _unquote(mark, lineno)
             continue
         if tier_class != "IntervalTier":
@@ -456,14 +441,14 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         durations: list[float] = []
         prev_end = None
         for _ in range(count):
-            lineno, line = scanner.expect("intervals [...] header")
+            lineno, line = next_line("intervals [...] header")
             if not _ITEM_RE.match(line):
                 raise ParseError(f"expected interval header, got {line!r}", lineno)
-            xmin_line, ixmin, ixmin_text = _expect_number(scanner, "xmin")
+            xmin_line, ixmin, ixmin_text = next_number("xmin")
             if ixmin < 0.0:
                 raise ParseError(f"negative start time {ixmin_text}", xmin_line)
-            ix_line, ixmax, ixmax_text = _expect_number(scanner, "xmax")
-            lineno, text_v = _expect_kv(scanner, "text")
+            ix_line, ixmax, ixmax_text = next_number("xmax")
+            lineno, text_v = next_value("text")
             label = _unquote(text_v, lineno).strip()
             if ixmax < ixmin:
                 raise ParseError(f"interval xmax {ixmax} < xmin {ixmin}", ix_line)
@@ -482,12 +467,11 @@ def parse_textgrid(text: str, utterance_id: str = ""):
             durations.append(_decimal_difference(ixmin_text, ixmax_text))
         tiers.append((tier_name, IntervalTable.from_columns(
             [utterance_id] * len(labels), labels, starts, durations)))
-    trailing = scanner.next_content()
+    lineno, trailing = lines[pos]
     if trailing is not None:
         raise ParseError(
             f"content after the last of {n_tiers} declared tier(s) "
-            f"(a tier or interval count too small?): {trailing[1]!r}",
-            trailing[0])
+            f"(a tier or interval count too small?): {trailing!r}", lineno)
     return tiers
 
 

@@ -23,6 +23,7 @@ from .report import (
     AnalysisConfig,
     ConfigError,
     CorpusLoadError,
+    csv_text,
     run_analysis,
     write_atomic,
 )
@@ -123,14 +124,12 @@ def _cmd_synth(args) -> int:
         write_atomic(out_dir / name, text)
     tokens = corpus.tokens
     # tolist() gives Python floats; a numpy float64's repr reads "np.float64(...)"
-    truth_lines = ["vowel,length,duration_ms,utterance_id"]
-    truth_lines += [
-        f"{','.join(CELLS[cell])},{duration_ms!r},{tokens.utterance_ids[u]}"
-        for cell, duration_ms, u in zip(tokens.cell.tolist(),
-                                        tokens.duration_ms.tolist(),
-                                        tokens.utterance.tolist())
-    ]
-    write_atomic(out_dir / "tokens_truth.csv", "\n".join(truth_lines) + "\n")
+    write_atomic(out_dir / "tokens_truth.csv", csv_text(
+        ("vowel", "length", "duration_ms", "utterance_id"),
+        ((*CELLS[cell], repr(duration_ms), tokens.utterance_ids[u])
+         for cell, duration_ms, u in zip(tokens.cell.tolist(),
+                                         tokens.duration_ms.tolist(),
+                                         tokens.utterance.tolist()))))
     print(f"wrote {len(corpus.files) + 1} files under {out_dir} "
           f"({len(corpus.tokens)} vowel tokens)")
     return EXIT_OK

@@ -56,6 +56,7 @@ __all__ = [
     "AnalysisConfig",
     "RunResult",
     "run_analysis",
+    "csv_text",
     "emit_table",
     "emit_plotdata",
     "report_from_dict",
@@ -281,6 +282,15 @@ def report_from_dict(obj: dict) -> ContrastReport:
     return ContrastReport(**fields)
 
 
+def csv_text(header, rows) -> str:
+    """A CSV table, "\\n" line ends; a field with a comma or quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def emit_table(reports, fmt: str) -> str:
     """Serialize contrast reports as csv, json, or markdown text.
 
@@ -292,11 +302,8 @@ def emit_table(reports, fmt: str) -> str:
     if not reports:
         raise ValueError("emit_table needs at least one report")
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        writer.writerows(_table_row(r, full_precision=True) for r in reports)
-        return out.getvalue()
+        return csv_text(TABLE_COLUMNS,
+                        (_table_row(r, full_precision=True) for r in reports))
     if fmt == "json":
         return _json_text({
             "corpus_id": reports[0].corpus_id,
@@ -486,12 +493,9 @@ def _comparison_rows(a: str, cells_a, b: str, cells_b) -> list[TestResult]:
 
 
 def _comparison_csv(rows) -> str:
-    lines = ["vowel,length_class,D,p_value,n_a,n_b"]
-    for r in rows:
-        lines.append(",".join([
-            r.vowel_class, r.length_class, repr(r.statistic),
-            repr(r.p_value), str(r.n1), str(r.n2)]))
-    return "\n".join(lines) + "\n"
+    return csv_text(("vowel", "length_class", "D", "p_value", "n_a", "n_b"), (
+        (r.vowel_class, r.length_class, repr(r.statistic), repr(r.p_value),
+         r.n1, r.n2) for r in rows))
 
 
 def _comparison_json(rows) -> str:

@@ -304,6 +304,17 @@ class CorpusSpec:
         for fmt in self.emit_formats:
             if fmt not in EMIT_FORMATS:
                 raise ConfigError(f"unknown emit format {fmt!r}")
+        if "ctm" in self.emit_formats and (
+                self.corpus_id.split() != [self.corpus_id] or self.corpus_id[0] == "#"):
+            raise ConfigError("config key 'corpus_id' must be one CTM field, without "
+                              f"whitespace or a leading '#', got {self.corpus_id!r}")
+        # checked before any draw: a token lasts at least one unit plus its filler
+        total = sum(cell.count for cell in self.cells)
+        if total * (FILLER_UNITS + 1) > _MAX_SPAN_MS * TIME_UNITS_PER_SECOND / 1000:
+            raise ConfigError(
+                f"corpus spec: the cells' 'count' keys total {total} tokens, over "
+                f"{_MAX_SPAN_MS:.0f} ms at "
+                f"{(FILLER_UNITS + 1) * 1000 / TIME_UNITS_PER_SECOND:g} ms or more each")
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(self, "emit_formats", tuple(self.emit_formats))
 

@@ -10,6 +10,10 @@ unimodal CDF in sup norm, exhaustive over modal positions).
 package's tie-run dip must equal bit for bit.  CTM files
 are read by a line-at-a-time parser that gives one
 (utterance id, NFC label, start, duration) tuple per line.
+`parse_textgrid_scanner` is the TextGrid reader made with a line scanner,
+a regex per `key = value` line and a rewind around the optional
+`item []:` line; the package's one-list reader must give the same rows
+or the same ParseError message and line.
 `generate_corpus_scalar` is the synthetic-corpus generator made one
 xoshiro256** step, one gamma variate and one interval tuple at a time,
 which the package's block generator must equal byte for byte.
@@ -21,14 +25,16 @@ emitter must equal byte for byte.
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
+from decimal import Decimal
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 from scipy.stats import gamma as scipy_gamma
 
-from vlcontrast.alignment import ParseError
+from vlcontrast.alignment import IntervalTable, ParseError
 
 
 def gamma_pdf_ref(shape: float, scale: float, x):
@@ -348,6 +354,183 @@ def ctm_line_parser(text: str) -> list[tuple[str, str, float, float]]:
             prev_end = start + interval[3]
             result.append(interval)
     return result
+
+
+# Praat TextGrid (long text format), read by a line scanner: the package's
+# reader as it stood before its one-list rewrite, kept as the referee.
+
+_KV_RE = re.compile(r'^\s*([A-Za-z?!]+(?:\s+[A-Za-z?!]+)*)\s*=\s*(.*?)\s*$')
+_ITEM_RE = re.compile(r'^\s*(item|intervals|points)\s*\[\s*\d*\s*\]\s*:\s*$')
+_ITEMS_RE = re.compile(r'^\s*item\s*\[\s*\]\s*:\s*$')  # "item []:", no number
+_SIZE_RE = re.compile(r'^\s*(intervals|points)\s*:\s*size\s*=\s*(.*?)\s*$')
+
+
+class _TextGridScanner:
+    """Line cursor that keeps 1-based line numbers for error reporting."""
+
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
+        self.pos = 0
+
+    def next_content(self) -> tuple[int, str] | None:
+        while self.pos < len(self.lines):
+            self.pos += 1
+            stripped = self.lines[self.pos - 1].strip()
+            if stripped:
+                return self.pos, stripped
+        return None
+
+    def expect(self, what: str) -> tuple[int, str]:
+        item = self.next_content()
+        if item is None:
+            raise ParseError(f"unexpected end of file, expected {what}",
+                             len(self.lines) or 1)
+        return item
+
+
+def _unquote(value: str, lineno: int) -> str:
+    value = value.strip()
+    if len(value) < 2 or not value.startswith('"') or not value.endswith('"'):
+        raise ParseError(f"expected quoted string, got {value!r}", lineno)
+    return value[1:-1].replace('""', '"')
+
+
+def _parse_number(value: str, lineno: int, what: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise ParseError(f"non-numeric {what}: {value!r}", lineno) from None
+    if not math.isfinite(number):
+        raise ParseError(f"non-finite {what}: {value!r}", lineno)
+    return number
+
+
+def _parse_count(value: str, lineno: int, what: str) -> int:
+    number = _parse_number(value, lineno, what)
+    if not number.is_integer() or number < 0:
+        raise ParseError(f"non-integer or negative {what}: {value!r}", lineno)
+    return int(number)
+
+
+def _expect_kv(scanner: _TextGridScanner, key: str) -> tuple[int, str]:
+    lineno, line = scanner.expect(f'"{key} = ..."')
+    m = _KV_RE.match(line)
+    if not m or m.group(1).replace(" ", "") != key.replace(" ", ""):
+        if key in ("xmin", "xmax") and re.fullmatch(r"[-+0-9.eE]+", line):
+            raise ParseError(
+                "bare number where a key = value line was expected; "
+                "short TextGrid format is not supported (save as the "
+                "Praat long/'ooTextFile' text format)", lineno)
+        raise ParseError(f"expected {key!r} assignment, got {line!r}", lineno)
+    return lineno, m.group(2)
+
+
+def _expect_number(scanner: _TextGridScanner, key: str) -> tuple[int, float, str]:
+    lineno, value = _expect_kv(scanner, key)
+    return lineno, _parse_number(value, lineno, key), value
+
+
+def _decimal_difference(lo_text: str, hi_text: str) -> float:
+    return float(Decimal(hi_text) - Decimal(lo_text))
+
+
+def parse_textgrid_scanner(text: str, utterance_id: str = ""):
+    """(tier name, IntervalTable) per interval tier of a Praat long-format
+    TextGrid, read one scanner step at a time; raises ParseError with the
+    message and line the package's reader must give."""
+    scanner = _TextGridScanner(text)
+    lineno, header = scanner.expect("TextGrid header")
+    if header.lstrip("\ufeff") != 'File type = "ooTextFile"':
+        raise ParseError(
+            f'not an ooTextFile TextGrid (header {header!r})', lineno)
+    lineno, klass = scanner.expect("Object class")
+    if klass != 'Object class = "TextGrid"':
+        raise ParseError(f"not a TextGrid object: {klass!r}", lineno)
+
+    _, xmin, _ = _expect_number(scanner, "xmin")
+    xmax_line, xmax, _ = _expect_number(scanner, "xmax")
+    if xmax < xmin:
+        raise ParseError(f"file xmax {xmax} < xmin {xmin}", xmax_line)
+    lineno, tiers_flag = scanner.expect("tiers? flag")
+    if not tiers_flag.startswith("tiers?"):
+        raise ParseError(f"expected tiers? flag, got {tiers_flag!r}", lineno)
+    if "<exists>" not in tiers_flag:
+        return []
+    lineno, size = _expect_kv(scanner, "size")
+    n_tiers = _parse_count(size, lineno, "tier count")
+
+    tiers = []
+    # optional "item []:" header
+    saved = scanner.pos
+    item = scanner.next_content()
+    if item is None or not _ITEMS_RE.match(item[1]):
+        scanner.pos = saved
+
+    for _ in range(n_tiers):
+        lineno, line = scanner.expect("item [...] header")
+        if not _ITEM_RE.match(line):
+            raise ParseError(f"expected tier item header, got {line!r}", lineno)
+        class_line, klass_v = _expect_kv(scanner, "class")
+        tier_class = _unquote(klass_v, class_line)
+        lineno, name_v = _expect_kv(scanner, "name")
+        tier_name = _unquote(name_v, lineno)
+        _expect_number(scanner, "xmin")
+        _expect_number(scanner, "xmax")
+
+        lineno, line = scanner.expect("size of tier contents")
+        m = _SIZE_RE.match(line)
+        if not m:
+            raise ParseError(f"expected intervals/points size, got {line!r}", lineno)
+        count = _parse_count(m.group(2), lineno, "size")
+
+        if tier_class == "TextTier":
+            for _ in range(count):
+                scanner.expect("point header")  # points [i]:
+                _expect_number(scanner, "number")
+                lineno, mark = _expect_kv(scanner, "mark")
+                _unquote(mark, lineno)
+            continue
+        if tier_class != "IntervalTier":
+            raise ParseError(f"unknown tier class {tier_class!r}", class_line)
+
+        labels: list[str] = []
+        starts: list[float] = []
+        durations: list[float] = []
+        prev_end = None
+        for _ in range(count):
+            lineno, line = scanner.expect("intervals [...] header")
+            if not _ITEM_RE.match(line):
+                raise ParseError(f"expected interval header, got {line!r}", lineno)
+            xmin_line, ixmin, ixmin_text = _expect_number(scanner, "xmin")
+            if ixmin < 0.0:
+                raise ParseError(f"negative start time {ixmin_text}", xmin_line)
+            ix_line, ixmax, ixmax_text = _expect_number(scanner, "xmax")
+            lineno, text_v = _expect_kv(scanner, "text")
+            label = _unquote(text_v, lineno).strip()
+            if ixmax < ixmin:
+                raise ParseError(f"interval xmax {ixmax} < xmin {ixmin}", ix_line)
+            if prev_end is not None and ixmin < prev_end - 1e-9:
+                raise ParseError(
+                    f"interval starting at {ixmin} overlaps previous "
+                    f"interval ending at {prev_end}", ix_line)
+            prev_end = ixmax
+            if not label:
+                continue  # silence padding
+            if ixmax == ixmin:
+                raise ParseError(
+                    f"zero-length interval with label {label!r}", ix_line)
+            labels.append(label)
+            starts.append(ixmin)
+            durations.append(_decimal_difference(ixmin_text, ixmax_text))
+        tiers.append((tier_name, IntervalTable.from_columns(
+            [utterance_id] * len(labels), labels, starts, durations)))
+    trailing = scanner.next_content()
+    if trailing is not None:
+        raise ParseError(
+            f"content after the last of {n_tiers} declared tier(s) "
+            f"(a tier or interval count too small?): {trailing[1]!r}",
+            trailing[0])
+    return tiers
 
 
 _MASK64 = (1 << 64) - 1

@@ -152,7 +152,7 @@ def test_textgrid_content_after_last_tier_names_line():
 
 
 # (text replaced in a one-interval file, with what, the message, the line
-# it names): every ParseError site of the TextGrid scanner once.  The file:
+# it names): every ParseError site of the TextGrid reader once.  The file:
 #   1 File type   2 Object class   3 (blank)   4 xmin   5 xmax
 #   6 tiers?   7 size   8 item []:   9 item [1]:   10 class   11 name
 #   12 xmin   13 xmax   14 intervals: size   15 intervals [1]:

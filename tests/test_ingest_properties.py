@@ -1,12 +1,13 @@
 """Property tests of alignment ingestion: the column parsers against a
-line-at-a-time CTM parser, and TextGrid emit -> parse round trips."""
+line-at-a-time CTM parser, the TextGrid reader against the line-scanner
+reader it replaced, and TextGrid emit -> parse round trips."""
 
 from decimal import Decimal
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import ctm_line_parser
+from oracles import ctm_line_parser, parse_textgrid_scanner
 from tables import rows
 
 from vlcontrast import alignment
@@ -164,15 +165,6 @@ def test_arbitrary_text_with_surrogates_is_a_table_or_a_parse_error(text):
     assert _outcome(_parse_ctm_rows, text) == _outcome(ctm_line_parser, text)
 
 
-@SETTINGS
-@given(st.text())
-def test_arbitrary_text_is_a_textgrid_or_a_parse_error(text):
-    try:
-        parse_textgrid(text)
-    except ParseError:
-        pass
-
-
 def _textgrid(tiers):
     lines = ['File type = "ooTextFile"', 'Object class = "TextGrid"', "",
              "xmin = 0", "xmax = 100", "tiers? <exists>", f"size = {len(tiers)}",
@@ -239,3 +231,203 @@ def test_ctm_slices_end_at_every_kind_of_line_break(end):
     assert alignment._ctm_table(text) is not None  # the column path ran
     assert _outcome(_parse_ctm_rows, text) == _outcome(
         _parse_ctm_rows, "\n".join(lines) + "\n")
+
+
+def _textgrid_rows(parse):
+    """A TextGrid reader as `_outcome` reads it: each tier's rows after a
+    row of the tier's name and an empty label, which no interval has."""
+    return lambda text: [row for name, table in parse(text, utterance_id="u")
+                         for row in [(name, "", 0.0, 0.0)] + rows(table)]
+
+
+TG_READ = _textgrid_rows(parse_textgrid)
+TG_ORACLE = _textgrid_rows(parse_textgrid_scanner)
+TG_LINE_ENDS = ("\n", "\r\n", "\r", "\x85")
+INDENTS = ("", "    ", "\t", " \u3000")
+
+
+def _decimal_spelling(units: int, style: int) -> str:
+    """`units` ten-thousandths of a second in one of several spellings that
+    `float` and `Decimal` both read."""
+    value = Decimal(units).scaleb(-4)
+    return (f"{value:.4f}", f"{value:.6f}", f"{value}", f"{units}e-4",
+            f"+{value:.4f}", f"{value:.4E}", f"{value:.4f}".rstrip("0"))[style]
+
+
+@st.composite
+def textgrid_lines(draw):
+    """The lines of a valid long-format TextGrid: interval and point tiers,
+    labels with `""` in them, mixed decimal spellings, the `item []:`
+    line present or missing, any indent and blank lines."""
+    def spell(units):
+        return _decimal_spelling(units, draw(st.integers(0, 6)))
+
+    def indent():
+        return draw(st.sampled_from(INDENTS))
+
+    body = []
+    tiers = draw(st.lists(st.sampled_from(("phones", "words", "events")), max_size=3))
+    for number, name in enumerate(tiers, start=1):
+        bounds = sorted(set(draw(st.lists(st.integers(0, 10**5), max_size=8))))
+        point_tier = name == "events" and draw(st.booleans())
+        body += [f"item [{number}]:",
+                 'class = "%s"' % ("TextTier" if point_tier else "IntervalTier"),
+                 f'name = "{name}"', f"xmin = {spell(0)}", f"xmax = {spell(10**5)}"]
+        if point_tier:
+            body.append(f"points: size = {len(bounds)}")
+            for i, b in enumerate(bounds, start=1):
+                body += [f"points [{i}]:", f"number = {spell(b)}",
+                         'mark = "%s"' % draw(TG_LABELS).replace('"', '""')]
+            continue
+        body.append(f"intervals: size = {max(len(bounds) - 1, 0)}")
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+            body += [f"intervals [{i}]:", f"xmin = {spell(lo)}", f"xmax = {spell(hi)}",
+                     'text = "%s"' % draw(TG_LABELS).replace('"', '""')]
+    head = ['File type = "ooTextFile"', 'Object class = "TextGrid"', "",
+            f"xmin = {spell(0)}", f"xmax = {spell(10**5)}", "tiers? <exists>",
+            f"size = {len(tiers)}"] + (["item []:"] if draw(st.booleans()) else [])
+    lines = []
+    for line in head + body:
+        lines.append(indent() + line + draw(st.sampled_from(("", " ", "\t"))))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(indent())
+    if draw(st.booleans()):  # a byte-order mark, which goes before any indent
+        lines[0] = "\ufeff" + lines[0].lstrip()
+    return lines
+
+
+# Lines a mutation inserts: a bare number, a value with no key, headers,
+# keys out of place, numbers that do not read, an empty quoted value.
+INSERTED_LINES = ("0.25", "= 0.5", "=", "xmin = 0.1", "xmax = 99", 'text = "a"',
+                  "intervals [1]:", "item [2]:", "item []:", "points [1]:",
+                  "size = 0", "intervals: size = 0", 'class = "TextTier"',
+                  "x min = 0", "xmin = nan", "xmax = 1e999", "xmin = 1,5",
+                  'text = ""', 'text = "', "tiers? <absent>", "\ufeff")
+INSERTED_CHARS = tuple('"= \t0.-e[]:?x_') + ("\ufeff", "\r", "\x85", "\u3000", "\u00e9")
+
+
+def _mutate(draw, lines):
+    """`lines` with one line deleted, duplicated or inserted, a character
+    inserted into one, a count changed by one, or a time replaced by
+    another of the file's times or a negative one."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(
+        ("delete", "duplicate", "insert", "char", "count", "time")))
+    at = draw(st.integers(0, len(lines)))
+    if kind == "insert":
+        lines.insert(at, draw(st.sampled_from(INSERTED_LINES)))
+    elif kind == "char" and lines:
+        line = lines[min(at, len(lines) - 1)]
+        cut = draw(st.integers(0, len(line)))
+        lines[min(at, len(lines) - 1)] = (
+            line[:cut] + draw(st.sampled_from(INSERTED_CHARS)) + line[cut:])
+    elif kind == "time":  # reversed, overlapping, zero-length or negative
+        timed = [i for i, line in enumerate(lines)
+                 if line.lstrip().startswith(("xmin =", "xmax ="))]
+        if timed:
+            i, j = draw(st.sampled_from(timed)), draw(st.sampled_from(timed))
+            value = draw(st.sampled_from((lines[j].partition("=")[2], " -0.5")))
+            lines[i] = lines[i].partition("=")[0] + "=" + value
+    elif kind == "count":  # a size one less or one more
+        numbered = [i for i, line in enumerate(lines) if line.rstrip()[-1:].isdigit()]
+        if numbered:
+            i = draw(st.sampled_from(numbered))
+            head, _, tail = lines[i].rstrip().rpartition(" ")
+            step = draw(st.sampled_from((-1, 1)))
+            lines[i] = f"{head} {int(tail) + step}" if tail.isdigit() else lines[i]
+    elif lines and at < len(lines):
+        if kind == "delete":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+    return lines
+
+
+def _joined(draw, lines):
+    return "".join(line + draw(st.sampled_from(TG_LINE_ENDS)) for line in lines)
+
+
+@SETTINGS
+@given(st.data())
+def test_textgrid_reader_equals_the_scanner_on_valid_files(data):
+    text = _joined(data.draw, data.draw(textgrid_lines()))
+    expected = _outcome(TG_ORACLE, text)
+    assert expected[0] == "ok"
+    assert _outcome(TG_READ, text) == expected
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_textgrid_reader_equals_the_scanner_on_mutated_files(data):
+    lines = data.draw(textgrid_lines())
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate(data.draw, lines)
+    text = _joined(data.draw, lines)
+    assert _outcome(TG_READ, text) == _outcome(TG_ORACLE, text)
+
+
+# Pieces of TextGrid-like text, for arbitrary text that gets past the header.
+TEXTGRID_PIECES = st.lists(st.sampled_from([
+    'File type = "ooTextFile"\n', 'Object class = "TextGrid"\n', "xmin = 0\n",
+    "xmax = 1\n", "tiers? <exists>\n", "size = 1\n", "item []:\n", "item [1]:\n",
+    'class = "IntervalTier"\n', 'class = "TextTier"\n', 'name = "p"\n',
+    "intervals: size = 1\n", "points: size = 1\n", "intervals [1]:\n",
+    'text = "a"\n', "number = 0.5\n", 'mark = ""\n', "0.5\n", "= 1\n", "\r\n",
+    " ", "\x85", "="])).map("".join)
+
+
+@SETTINGS
+@given(st.one_of(st.text(), TEXTGRID_PIECES))
+def test_arbitrary_text_is_a_textgrid_or_a_parse_error(text):
+    # any other exception fails the test
+    assert _outcome(TG_READ, text) == _outcome(TG_ORACLE, text)
+
+
+TWO_TIERS = [
+    'File type = "ooTextFile"', 'Object class = "TextGrid"', "", "xmin = 0",
+    "xmax = 1", "tiers? <exists>", "size = 2", "item []:",
+    "item [1]:", 'class = "TextTier"', 'name = "events"', "xmin = 0", "xmax = 1",
+    "points: size = 1", "points [1]:", "number = 0.5", 'mark = "b""eep"',
+    "item [2]:", 'class = "IntervalTier"', 'name = "phones"', "xmin = 0",
+    "xmax = 1", "intervals: size = 2", "intervals [1]:", "xmin = 0",
+    "xmax = 0.25", 'text = "a"', "intervals [2]:", "xmin = 0.25", "xmax = 1",
+    'text = "q""t"']
+
+
+def _replaced(old, new):
+    return [new if line == old else line for line in TWO_TIERS]
+
+
+# (file lines, the start of the message both readers give): the mutation
+# kinds the generated cases must cover, each pinned once.
+TEXTGRID_MUTATIONS = (
+    (_replaced("intervals: size = 2", "intervals: size = 1"),
+     "line 28: content after the last of 2 declared tier(s)"),     # undercount
+    (_replaced("size = 2", "size = 1"),
+     "line 18: content after the last of 1 declared tier(s)"),
+    (TWO_TIERS + ["xmin = 0"],
+     "line 32: content after the last of 2 declared tier(s)"),     # trailing
+    (TWO_TIERS[:24] + ["0.25"] + TWO_TIERS[24:],
+     "line 25: bare number where a key = value line was expected"),
+    (TWO_TIERS[:24] + ["= 0.25"] + TWO_TIERS[24:],
+     "line 25: expected 'xmin' assignment, got '= 0.25'"),         # no key
+    (TWO_TIERS[:8] + TWO_TIERS[9:],
+     "line 9: expected tier item header, got 'class = \"TextTier\"'"),
+    (_replaced("intervals: size = 2", "intervals: size = 3"),
+     "line 31: unexpected end of file, expected intervals [...] header"),
+    (_replaced("xmin = 0.25", "xmin = 0.2"),
+     "line 30: interval starting at 0.2 overlaps previous interval ending at 0.25"),
+    (_replaced("xmax = 0.25", "x max  =0.25"), None),               # spaced key
+    (TWO_TIERS[:7] + TWO_TIERS[8:], None),                         # no "item []:"
+)
+
+
+@pytest.mark.parametrize("lines, message", TEXTGRID_MUTATIONS)
+def test_textgrid_mutation_kinds_read_as_the_scanner_reads_them(lines, message):
+    text = "\r\n".join(lines) + "\r\n"
+    got = _outcome(TG_READ, text)
+    assert got == _outcome(TG_ORACLE, text)
+    if message is None:
+        assert got[0] == "ok" and len(got[1]) == 3
+    else:
+        assert got[0] == "error" and got[1].startswith(message)

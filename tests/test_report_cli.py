@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from tables import rows
 
-from vlcontrast import alignment
+from vlcontrast import alignment, synthgen
 from vlcontrast.cli import main as cli_main
 from vlcontrast.durations import DurationSampleSet, build_histogram
 from vlcontrast.features import ContrastReport, contrast_report
@@ -1049,6 +1049,60 @@ def test_synth_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
     assert cli_main(["synth", "--spec", str(spec_path), "--outdir", str(outdir)]) == 2
     assert "corpus_id" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def _synth(tmp_path, spec):
+    """Exit code of `vlcontrast synth` on `spec`, written to tmp_path/out."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    return cli_main(["synth", "--spec", str(spec_path),
+                     "--outdir", str(tmp_path / "out")])
+
+
+def _cell(count, vowel="a"):
+    return {"vowel": vowel, "length": "short", "shape": 6.0, "scale": 11.5,
+            "count": count}
+
+
+def test_synth_rejects_a_count_the_corpus_span_cannot_hold(tmp_path, capsys):
+    # every token lasts at least 0.1 ms plus its 50 ms filler, so a spec
+    # whose total count times 50.1 ms passes the span bound is rejected
+    # before any draw
+    fits = int(synthgen._MAX_SPAN_MS / 50.1)
+    for cells in ([_cell(10**20)], [_cell(10**400)], [_cell(fits - 1), _cell(2, "e")]):
+        with pytest.raises(ConfigError) as err:
+            CorpusSpec.from_json(json.dumps({"corpus_id": "big", "cells": cells}))
+        assert "'count'" in str(err.value)
+    assert CorpusSpec.from_json(json.dumps(
+        {"corpus_id": "big", "cells": [_cell(fits - 1), _cell(1, "e")]}))
+    assert _synth(tmp_path, {"corpus_id": "big", "cells": [_cell(10**20)]}) == 2
+    assert "'count'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tokens_truth_quotes_a_corpus_id_with_a_comma(tmp_path):
+    assert _synth(tmp_path, {"corpus_id": "a,b", "seed": 3, "utterance_size": 2,
+                             "cells": [_cell(3)]}) == 0
+    with open(tmp_path / "out" / "a,b" / "tokens_truth.csv", newline="",
+              encoding="utf-8") as f:
+        table = list(csv.reader(f))
+    assert table[0] == ["vowel", "length", "duration_ms", "utterance_id"]
+    assert [row[3] for row in table[1:]] == ["a,b-0000", "a,b-0000", "a,b-0001"]
+    assert all(row[:2] == ["a", "short"] and float(row[2]) > 0 for row in table[1:])
+
+
+@pytest.mark.parametrize("corpus_id", ["my corpus", "#c", "tab\tbed", "nb\u00a0sp"])
+def test_synth_rejects_a_corpus_id_a_ctm_cannot_hold(tmp_path, capsys, corpus_id):
+    # a CTM utterance id is one whitespace-free field that does not start
+    # a comment; TextGrid files carry the id only in their names
+    spec = {"corpus_id": corpus_id, "cells": [_cell(3)]}
+    assert _synth(tmp_path, spec) == 2
+    assert "'corpus_id'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert _synth(tmp_path, dict(spec, emit_formats=["textgrid", "ctm"])) == 2
+    assert not (tmp_path / "out").exists()
+    assert _synth(tmp_path, dict(spec, emit_formats=["textgrid"])) == 0
+    assert (tmp_path / "out" / corpus_id / f"{corpus_id}-0000.TextGrid").is_file()
 
 
 @pytest.mark.parametrize("corpus_id, formats, clash", [
