@@ -2,7 +2,6 @@
 
     vlcontrast analyze --config analysis.json [overrides]
     vlcontrast synth   --spec corpus.json --outdir DIR
-    vlcontrast compare --config analysis.json [overrides]
 
 Exit codes: 0 success, 1 corpus-level runtime failure, 2 configuration
 or usage error.  Per-vowel failures never abort a run; they surface as
@@ -45,25 +44,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p):
-        p.add_argument("--bin-width", type=float, default=None, metavar="MS",
-                       help="histogram bin width in ms (default from config, 10)")
-        p.add_argument("--no-outlier-filter", action="store_true",
-                       help="disable the 3-sigma outlier rule")
-        p.add_argument("--speaker-from", default=None, metavar="RULE",
-                       help="speaker id rule: fixed:<id> or prefix:<delim>")
-        p.add_argument("--outdir", default=None, metavar="DIR",
-                       help="override the configured output directory")
-
     p_analyze = sub.add_parser("analyze", help="run the full contrast analysis")
     p_analyze.add_argument("--config", required=True, metavar="PATH",
                            help="analysis config JSON")
-    add_overrides(p_analyze)
-
-    p_compare = sub.add_parser("compare",
-                               help="run only the configured corpus comparisons")
-    p_compare.add_argument("--config", required=True, metavar="PATH")
-    add_overrides(p_compare)
+    p_analyze.add_argument("--bin-width", type=float, default=None, metavar="MS",
+                           help="histogram bin width in ms (default from config, 10)")
+    p_analyze.add_argument("--no-outlier-filter", action="store_true",
+                           help="disable the 3-sigma outlier rule")
+    p_analyze.add_argument("--speaker-from", default=None, metavar="RULE",
+                           help="speaker id rule: fixed:<id> or prefix:<delim>")
+    p_analyze.add_argument("--outdir", default=None, metavar="DIR",
+                           help="override the configured output directory")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--spec", required=True, metavar="PATH",
@@ -73,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args) -> AnalysisConfig:
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    config = AnalysisConfig.from_json(path.read_text(encoding="utf-8"))
+def _cmd_analyze(args) -> int:
+    config_path = Path(args.config)
+    if not config_path.is_file():
+        raise ConfigError(f"config file not found: {config_path}")
+    config = AnalysisConfig.from_json(config_path.read_text(encoding="utf-8"))
     updates = {}
     if args.bin_width is not None:
         updates["bin_width_ms"] = args.bin_width
@@ -89,22 +80,7 @@ def _load_config(args) -> AnalysisConfig:
         updates["output_dir"] = args.outdir
     if updates:
         config = dataclasses.replace(config, **updates)
-    return config
-
-
-def _cmd_analyze(args) -> int:
-    config = _load_config(args)
     result = run_analysis(config)
-    for path in result.output_paths:
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    config = _load_config(args)
-    if not config.comparisons:
-        raise ConfigError("config lists no comparisons")
-    result = run_analysis(config, comparisons_only=True)
     for path in result.output_paths:
         print(f"wrote {path}")
     return EXIT_OK
@@ -144,8 +120,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
         if args.command == "synth":
             return _cmd_synth(args)
         parser.error(f"unknown command {args.command!r}")

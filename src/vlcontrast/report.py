@@ -4,7 +4,8 @@ Runs the whole pipeline over one or more corpora of alignment files and
 writes, per corpus, a contrast feature table (one row per vowel, columns
 in a fixed order: occurrence counts, means, r1, r2, area, delta),
 plot data sufficient to re-render histogram + gamma-curve figures, dip
-diagnostics, per-comparison KS results, and a run-metadata file.
+diagnostics, per-comparison KS results, and a run-metadata file that
+lists every other file the run wrote with its sha256.
 
 All outputs are deterministic: fixed vowel ordering, no timestamps, full
 float precision in CSV/JSON, and atomic write-then-rename file emission.
@@ -152,6 +153,8 @@ class AnalysisConfig:
         for a, b in self.comparisons:
             if a not in ids or b not in ids:
                 raise ConfigError(f"comparison ({a!r}, {b!r}) names unknown corpus")
+            if a == b:
+                raise ConfigError(f"comparison {(a, b)!r} compares a corpus with itself")
             name = _ks_stem(a, b)
             if name in outputs:
                 raise ConfigError(f"comparisons {outputs[name]!r} and "
@@ -365,10 +368,11 @@ def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float) -> str:
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+    """Write `text` as UTF-8, line ends as given, via a temp file + rename
+    so readers never see partial output."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
 
 
@@ -507,15 +511,15 @@ def _comparison_json(rows) -> str:
     } for r in rows], sort_keys=False)
 
 
-def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunResult:
+def run_analysis(config: AnalysisConfig) -> RunResult:
     """Execute the configured analysis; returns the written output paths.
 
     Corpus-level problems (missing files, parse failures, empty corpora)
     raise CorpusLoadError/ConfigError; per-vowel degenerate fits degrade
-    to flagged table rows instead.  With `comparisons_only` the per-corpus
-    feature/plot/diagnostic outputs are skipped and only the configured KS
-    comparisons (plus run metadata) are written.  Nothing is written
-    until every output is built, so a failed load or analysis changes no file.
+    to flagged table rows instead.  Nothing is written until every output
+    is built, so a failed load or analysis changes no file.  The
+    run_metadata.json written last lists every other output's sha256, so
+    a file it does not list, or whose hash differs, is not from this run.
     """
     if config.phone_map_path is not None:
         map_path = Path(config.phone_map_path)
@@ -541,20 +545,19 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
         # every output of the corpus reads this one (vowel, length) -> samples map
         cells = {key: cell.samples for key, cell in cells.items()}
         corpus_cells[source.corpus_id] = cells
-        if not comparisons_only:
-            reports = _corpus_reports(cells, source.corpus_id)
-            result.reports[source.corpus_id] = reports
-            corpus_dir = out_root / source.corpus_id
-            for fmt in config.output_formats:
-                if reports:
-                    outputs[corpus_dir / FORMAT_FILES[fmt]] = emit_table(reports, fmt)
-            for report in reports:
-                if report.fit_short is not None and report.fit_long is not None:
-                    slug = VOWEL_SLUGS[report.vowel_class]
-                    outputs[corpus_dir / f"plot_{slug}.csv"] = emit_plotdata(
-                        report, cells, config.bin_width_ms)
-            outputs[corpus_dir / "diagnostics.json"] = _json_text(
-                {"corpus_id": source.corpus_id, "dip": _diagnostics(cells)})
+        reports = _corpus_reports(cells, source.corpus_id)
+        result.reports[source.corpus_id] = reports
+        corpus_dir = out_root / source.corpus_id
+        for fmt in config.output_formats:
+            if reports:
+                outputs[corpus_dir / FORMAT_FILES[fmt]] = emit_table(reports, fmt)
+        for report in reports:
+            if report.fit_short is not None and report.fit_long is not None:
+                slug = VOWEL_SLUGS[report.vowel_class]
+                outputs[corpus_dir / f"plot_{slug}.csv"] = emit_plotdata(
+                    report, cells, config.bin_width_ms)
+        outputs[corpus_dir / "diagnostics.json"] = _json_text(
+            {"corpus_id": source.corpus_id, "dip": _diagnostics(cells)})
 
     for a, b in config.comparisons:
         rows = _comparison_rows(a, corpus_cells[a], b, corpus_cells[b])
@@ -564,6 +567,10 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
         if "json" in config.output_formats:
             outputs[out_root / f"{stem}.json"] = _comparison_json(rows)
 
+    # the bytes write_atomic writes; the metadata cannot list its own hash
+    manifest = {path.relative_to(out_root).as_posix():
+                hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for path, text in outputs.items()}
     outputs[out_root / "run_metadata.json"] = _json_text({
         "tool": "vlcontrast",
         "version": __version__,
@@ -577,6 +584,7 @@ def run_analysis(config: AnalysisConfig, comparisons_only: bool = False) -> RunR
             "ks_on_filtered_durations": config.outlier_filtering,
         },
         "corpora": corpus_counts,
+        "outputs": manifest,
     })
 
     for path, text in outputs.items():

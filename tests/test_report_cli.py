@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import math
+import re
+import shlex
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from tables import rows
 
 from vlcontrast import alignment, synthgen
-from vlcontrast.cli import main as cli_main
+from vlcontrast.cli import _build_parser, main as cli_main
 from vlcontrast.durations import DurationSampleSet, build_histogram
 from vlcontrast.features import ContrastReport, contrast_report
 from vlcontrast.gamma import GammaFit
@@ -376,10 +379,11 @@ def test_config_from_json_and_the_constructor_hash_alike():
     assert AnalysisConfig.from_json(json.dumps({
         "corpora": [{"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}],
         "output_dir": "o"})) == AnalysisConfig(corpora=(src,), output_dir="o")
-    assert AnalysisConfig(corpora=[src], output_dir="o",
-                          output_formats=["csv"], comparisons=[["c", "c"]]) == (
-        AnalysisConfig(corpora=(src,), output_dir="o", output_formats=("csv",),
-                       comparisons=(("c", "c"),)))
+    other = CorpusSource("d", ("y.ctm",), "ctm")
+    assert AnalysisConfig(corpora=[src, other], output_dir="o",
+                          output_formats=["csv"], comparisons=[["c", "d"]]) == (
+        AnalysisConfig(corpora=(src, other), output_dir="o", output_formats=("csv",),
+                       comparisons=(("c", "d"),)))
 
 
 def test_missing_input_raises_corpus_error(tmp_path):
@@ -511,12 +515,12 @@ def test_comparisons_must_write_distinct_ks_files(tmp_path, capsys):
     corpora = tuple(CorpusSource(c, (f"{c}.ctm",), "ctm")
                     for c in ("x_vs_y", "z", "x", "y_vs_z"))
     clashes = ((("x_vs_y", "z"), ("x", "y_vs_z")),
-               (("x", "z"), ("x", "z")))
-    for first, second in clashes:
+               (("x", "z"), ("x", "z")),
+               (("z", "z"),))  # D = 0 on every row: a typo, not a comparison
+    for comparisons in clashes:
         with pytest.raises(ConfigError) as err:
-            AnalysisConfig(corpora=corpora, output_dir="o",
-                           comparisons=(first, second))
-        assert repr(first) in str(err.value) and repr(second) in str(err.value)
+            AnalysisConfig(corpora=corpora, output_dir="o", comparisons=comparisons)
+        assert all(repr(pair) in str(err.value) for pair in comparisons)
     assert len(AnalysisConfig(corpora=corpora, output_dir="o", comparisons=(
         ("x", "z"), ("z", "x"), ("x_vs_y", "z"))).comparisons) == 3
 
@@ -526,7 +530,7 @@ def test_comparisons_must_write_distinct_ks_files(tmp_path, capsys):
                      "format": "ctm"} for c in corpora],
         "output_dir": str(tmp_path / "out"),
         "comparisons": [["x_vs_y", "z"], ["x", "y_vs_z"]]}), encoding="utf-8")
-    assert cli_main(["compare", "--config", str(config_path)]) == 2
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
     assert "ks_x_vs_y_vs_z" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -609,7 +613,7 @@ def test_comparisons_and_formats(tmp_path):
     assert len(ks_csv.strip().splitlines()) == 4
 
 
-def test_cli_synth_then_analyze_and_compare(tmp_path, capsys):
+def test_cli_synth_then_analyze(tmp_path, capsys):
     spec = {
         "corpus_id": "demo", "seed": 5, "utterance_size": 8,
         "emit_formats": ["ctm"],
@@ -638,9 +642,6 @@ def test_cli_synth_then_analyze_and_compare(tmp_path, capsys):
     assert cli_main(["analyze", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "features.csv" in out
-
-    # compare without comparisons in the config is a usage error
-    assert cli_main(["compare", "--config", str(config_path)]) == 2
 
 
 # sha256 of every file `vlcontrast synth` writes for PIN_SPEC, recorded
@@ -734,7 +735,7 @@ def test_cli_synth_rejects_non_finite_cells(tmp_path, capsys, cell, named):
     assert not (tmp_path / "bad").exists()
 
 
-def test_cli_compare_happy_path(tmp_path, capsys):
+def test_cli_analyze_writes_the_ks_files(tmp_path, capsys):
     ctm, tg_dir = _write_two_corpora(tmp_path)
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({
@@ -746,12 +747,30 @@ def test_cli_compare_happy_path(tmp_path, capsys):
         "output_dir": str(tmp_path / "out"),
         "comparisons": [["corpA", "corpB"]],
     }), encoding="utf-8")
-    assert cli_main(["compare", "--config", str(config_path)]) == 0
+    assert cli_main(["analyze", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "ks_corpA_vs_corpB" in out
     assert (tmp_path / "out" / "ks_corpA_vs_corpB.csv").is_file()
-    # compare mode writes no per-corpus feature tables
-    assert not (tmp_path / "out" / "corpA" / "features.csv").exists()
+    # there is no second command that writes only the ks files
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["compare", "--config", str(config_path)])
+    assert exit_.value.code == 2
+
+
+def _readme_commands():
+    """Every `vlcontrast ...` line of the README's sh blocks, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("vlcontrast ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"analyze", "synth"}
+    for argv in commands:
+        _build_parser().parse_args(argv)
 
 
 def test_cli_errors(tmp_path, capsys):
@@ -838,13 +857,25 @@ def test_output_paths_list_the_written_files_in_order(tmp_path):
         "ks_corpA_vs_corpB.csv", "run_metadata.json")]
     assert set(paths) == set(_tree(out))
 
-    ks_out = tmp_path / "ks_out"
-    paths = run_analysis(replace(config, output_dir=str(ks_out),
-                                 output_formats=("csv", "json", "markdown")),
-                         comparisons_only=True).output_paths
-    assert paths == [ks_out / name for name in (
-        "ks_corpA_vs_corpB.csv", "ks_corpA_vs_corpB.json", "run_metadata.json")]
-    assert set(paths) == set(_tree(ks_out))
+
+def test_run_metadata_lists_exactly_the_files_of_its_run(tmp_path):
+    config = _two_corpus_config(tmp_path, output_formats=("csv", "json", "markdown"))
+    out = tmp_path / "out"
+    run_analysis(config)
+    paths = run_analysis(replace(config, output_formats=("csv",))).output_paths
+    outputs = json.loads((out / "run_metadata.json").read_text(
+        encoding="utf-8"))["outputs"]
+    assert list(outputs) == sorted(p.relative_to(out).as_posix()
+                                   for p in paths[:-1])
+    assert paths[-1] == out / "run_metadata.json"
+    # the first run's JSON and markdown files stay on disk, unlisted
+    on_disk = {p.relative_to(out).as_posix() for p in _tree(out)}
+    assert on_disk - set(outputs) == {
+        "run_metadata.json", "ks_corpA_vs_corpB.json",
+        "corpA/features.json", "corpA/features.md",
+        "corpB/features.json", "corpB/features.md"}
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
@@ -861,9 +892,9 @@ def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
 
 # sha256 of every file a two-corpus run writes (CTM + TextGrid, one
 # comparison, all three formats), with and without the outlier filter,
-# recorded while the cells still travelled as DurationSampleSet records.
-# run_metadata.json is hashed without its config_sha256 line, which
-# covers the tmp_path paths.
+# recorded while the cells still travelled as DurationSampleSet records;
+# run_metadata.json re-pinned when it gained its `outputs` manifest. It
+# is hashed without its config_sha256 line, which covers the tmp_path paths.
 TWO_CORPUS_PIN_SHA256 = {
     True: {
         "corpA/diagnostics.json": "4650e75be9d9887a6c4675f5a260544bf04a3429fc54f2db47ecbb72e0b45fb4",
@@ -878,7 +909,7 @@ TWO_CORPUS_PIN_SHA256 = {
         "corpB/plot_a.csv": "4dcbafce9d0e1ebe370ed95ffe171b51739536e3eed1ea76c528abd0571ebc78",
         "ks_corpA_vs_corpB.csv": "1d78fa2f3488d2eef998ee706b8bb00d9763462c234c47cb703fc857c23666fc",
         "ks_corpA_vs_corpB.json": "8004ecfa0ecfca82933097b74ee6e8337c7670e28413942a2fee08bf1d21eea4",
-        "run_metadata.json": "56375e3433dcd7233374adc72b33e43fced6e2e145dfcc3be4bd94167aca9956",
+        "run_metadata.json": "8f0067b592030c7f14a790a70ecaeb45af1859e5999a62e421bdfe96eb70b4eb",
     },
     False: {
         "corpA/diagnostics.json": "36e1db9573c5eba835a2b6351e50a42ab55ee22222481c4fc5b9626a8b780ba6",
@@ -893,7 +924,7 @@ TWO_CORPUS_PIN_SHA256 = {
         "corpB/plot_a.csv": "6208704a32dd936f11b2498cb71d8757d65c413ebd399c06b5e17f507c8e41c1",
         "ks_corpA_vs_corpB.csv": "2daa14954593eb62988df7a2a02830ee5aeb3a02a70d811bd1bb2190841211c4",
         "ks_corpA_vs_corpB.json": "52d66dfe93d5dde3134f51ef9ce442b644b57c85491b856cdbf1d267b1083239",
-        "run_metadata.json": "29097fccf85eb0fbb07934d3cbced47f82fa88444c517706d2beb95c5100ef5e",
+        "run_metadata.json": "d43f538613e60c81f1781f68f004b96a52c3aa2da1070f9d2b9de1e644983812",
     },
 }
 
@@ -909,6 +940,10 @@ def test_two_corpus_output_tree_is_pinned(tmp_path, filtering):
                             if not line.startswith(b'  "config_sha256": '))
         written[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
     assert written == TWO_CORPUS_PIN_SHA256[filtering]
+    outputs = json.loads((out / "run_metadata.json").read_text(
+        encoding="utf-8"))["outputs"]
+    assert outputs == {name: digest for name, digest in written.items()
+                       if name != "run_metadata.json"}
 
 
 def _config_json(**extra):
@@ -974,13 +1009,13 @@ def test_config_from_json_checks_value_types_and_names_the_key():
             AnalysisConfig.from_json(_config_json(**extra))
         assert key in str(err.value), (key, extra, str(err.value))
     config = AnalysisConfig.from_json(_config_json(
-        corpora=[dict(corpus, paths="x.ctm")], bin_width_ms=5,
-        output_formats=["csv"], phone_map="m.tsv", speaker_from="fixed:s1",
-        comparisons=[["c", "c"]]))
+        corpora=[dict(corpus, paths="x.ctm"), dict(corpus, corpus_id="d")],
+        bin_width_ms=5, output_formats=["csv"], phone_map="m.tsv",
+        speaker_from="fixed:s1", comparisons=[["c", "d"]]))
     assert config.corpora[0].paths == ("x.ctm",)
     assert config.bin_width_ms == 5.0 and isinstance(config.bin_width_ms, float)
     assert config.output_formats == ("csv",)
-    assert config.comparisons == (("c", "c"),)
+    assert config.comparisons == (("c", "d"),)
     assert (config.phone_map_path, config.speaker_from) == ("m.tsv", "fixed:s1")
 
 
