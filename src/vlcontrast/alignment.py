@@ -307,6 +307,9 @@ def load_phone_map(text: str) -> PhoneMap:
 # ---------------------------------------------------------------------------
 # Praat TextGrid (long text format)
 
+# How far (s) an interval may start before the end of the one it follows,
+# or a tier or interval reach past the bounds that hold it: rounding slack.
+_BOUND_SLACK_S = 1e-9
 _ITEM_RE = re.compile(r'^\s*(item|intervals|points)\s*\[\s*\d*\s*\]\s*:\s*$')
 _ITEMS_RE = re.compile(r'^\s*item\s*\[\s*\]\s*:\s*$')  # "item []:", no number
 _SIZE_RE = re.compile(r'^\s*(intervals|points)\s*:\s*size\s*=\s*(.*?)\s*$')
@@ -351,7 +354,9 @@ def parse_textgrid(text: str, utterance_id: str = ""):
     Returns a list of (tier_name, IntervalTable) pairs, one per
     IntervalTier, intervals in file order with start/duration in seconds.
     Empty-label intervals are dropped; point tiers are skipped with a
-    warning.  Raises ParseError (with line number) on malformed input.
+    warning.  Raises ParseError (with line number) on malformed input,
+    including a tier outside the file's xmin/xmax or with xmin > xmax, and
+    an interval outside its tier's xmin/xmax.
     """
     raw = text.splitlines()
     # (line number, stripped text) of each non-blank line, then an end mark
@@ -416,8 +421,16 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         tier_class = _unquote(klass_v, class_line)
         lineno, name_v = next_value("name")
         tier_name = _unquote(name_v, lineno)
-        next_number("xmin")
-        next_number("xmax")
+        lineno, tier_xmin, _ = next_number("xmin")
+        if tier_xmin < xmin - _BOUND_SLACK_S:
+            raise ParseError(f"tier xmin {tier_xmin} lies before the file's "
+                             f"xmin {xmin}", lineno)
+        lineno, tier_xmax, _ = next_number("xmax")
+        if tier_xmax < tier_xmin:
+            raise ParseError(f"tier xmax {tier_xmax} < xmin {tier_xmin}", lineno)
+        if tier_xmax > xmax + _BOUND_SLACK_S:
+            raise ParseError(f"tier xmax {tier_xmax} lies past the file's "
+                             f"xmax {xmax}", lineno)
 
         lineno, line = next_line("size of tier contents")
         m = _SIZE_RE.match(line)
@@ -428,7 +441,9 @@ def parse_textgrid(text: str, utterance_id: str = ""):
         if tier_class == "TextTier":
             logger.warning("skipping point tier %r (%d points)", tier_name, count)
             for _ in range(count):
-                next_line("point header")  # points [i]:
+                lineno, line = next_line("point header")
+                if not _ITEM_RE.match(line):
+                    raise ParseError(f"expected point header, got {line!r}", lineno)
                 next_number("number")
                 lineno, mark = next_value("mark")
                 _unquote(mark, lineno)
@@ -447,12 +462,18 @@ def parse_textgrid(text: str, utterance_id: str = ""):
             xmin_line, ixmin, ixmin_text = next_number("xmin")
             if ixmin < 0.0:
                 raise ParseError(f"negative start time {ixmin_text}", xmin_line)
+            if ixmin < tier_xmin - _BOUND_SLACK_S:
+                raise ParseError(f"interval starting at {ixmin} lies before its "
+                                 f"tier's xmin {tier_xmin}", xmin_line)
             ix_line, ixmax, ixmax_text = next_number("xmax")
+            if ixmax > tier_xmax + _BOUND_SLACK_S:
+                raise ParseError(f"interval ending at {ixmax} lies past its "
+                                 f"tier's xmax {tier_xmax}", ix_line)
             lineno, text_v = next_value("text")
             label = _unquote(text_v, lineno).strip()
             if ixmax < ixmin:
                 raise ParseError(f"interval xmax {ixmax} < xmin {ixmin}", ix_line)
-            if prev_end is not None and ixmin < prev_end - 1e-9:
+            if prev_end is not None and ixmin < prev_end - _BOUND_SLACK_S:
                 raise ParseError(
                     f"interval starting at {ixmin} overlaps previous "
                     f"interval ending at {prev_end}", ix_line)

@@ -91,15 +91,19 @@ def collect_cells(tokens: TokenTable, corpus_id: str):
     Cells come in the order of their first token and keep their tokens'
     order: each is a slice of the duration column sorted stably by cell.
     """
-    codes, first, counts = np.unique(tokens.cell, return_index=True,
-                                     return_counts=True)
-    durations = tokens.duration_ms[np.argsort(tokens.cell, kind="stable")]
+    codes = tokens.cell.astype(np.uint8)  # len(CELLS) < 256: a radix sort
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(CELLS))
     ends = np.cumsum(counts)
+    starts = ends - counts
+    present = np.flatnonzero(counts)
+    durations = tokens.duration_ms[order]
     cells = {}
-    for i in np.argsort(first):
-        key = CELLS[codes[i]]
+    # a cell's first token heads its run of the stable order
+    for code in present[np.argsort(order[starts[present]])].tolist():
+        key = CELLS[code]
         cells[key] = DurationSampleSet(key[0], key[1], corpus_id,
-                                       durations[ends[i] - counts[i]:ends[i]])
+                                       durations[starts[code]:ends[code]])
     return cells
 
 

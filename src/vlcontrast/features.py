@@ -87,6 +87,7 @@ class ContrastReport:
     significant: bool
     flags: frozenset[str]
     error: str | None = None
+    crossings_ms: tuple[float, ...] = ()  # where d_L and d_S cross, ascending
 
 
 def compute_r1(fit_short: GammaFit, fit_long: GammaFit) -> float | None:
@@ -148,12 +149,16 @@ def density_crossings(fit_short: GammaFit,
     return tuple(crossings)
 
 
-def compute_area(fit_short: GammaFit, fit_long: GammaFit) -> float:
+def compute_area(fit_short: GammaFit, fit_long: GammaFit,
+                 crossings: tuple[float, ...] | None = None) -> float:
     """Mass where d_L exceeds d_S, in [0, 1]: the sum of the rises of
-    F_L - F_S over the intervals between 0, the crossings and infinity."""
+    F_L - F_S over the intervals between 0, the crossings and infinity.
+    `crossings` are the fits' `density_crossings`, when the caller has them."""
+    if crossings is None:
+        crossings = density_crossings(fit_short, fit_long)
     gaps = [0.0] + [gamma_cdf(fit_long.shape, x / fit_long.scale)
                     - gamma_cdf(fit_short.shape, x / fit_short.scale)
-                    for x in density_crossings(fit_short, fit_long)] + [0.0]
+                    for x in crossings] + [0.0]
     return sum(max(0.0, right - left) for left, right in zip(gaps, gaps[1:]))
 
 
@@ -197,7 +202,8 @@ def contrast_report(vowel_class: str, corpus_id: str,
         )
 
     fit_s, fit_l = fits["short"], fits["long"]
-    area = compute_area(fit_s, fit_l)
+    crossings = density_crossings(fit_s, fit_l)
+    area = compute_area(fit_s, fit_l, crossings)
     r1 = r2 = delta = None
     try:
         r1 = compute_r1(fit_s, fit_l)
@@ -216,7 +222,7 @@ def contrast_report(vowel_class: str, corpus_id: str,
         **base, fit_short=fit_s, fit_long=fit_l,
         r1=r1, r2=r2, area=area, delta_ms=delta,
         significant=area > AREA_SIGNIFICANCE_THRESHOLD,
-        flags=frozenset(flags),
+        flags=frozenset(flags), crossings_ms=crossings,
     )
 
 

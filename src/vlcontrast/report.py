@@ -2,10 +2,11 @@
 
 Runs the whole pipeline over one or more corpora of alignment files and
 writes, per corpus, a contrast feature table (one row per vowel, columns
-in a fixed order: occurrence counts, means, r1, r2, area, delta),
-plot data sufficient to re-render histogram + gamma-curve figures, dip
-diagnostics, per-comparison KS results, and a run-metadata file that
-lists every other file the run wrote with its sha256.
+in a fixed order: occurrence counts, means, r1, r2, area, delta, the
+density crossings), plot data sufficient to re-render histogram +
+gamma-curve figures, dip and plot-grid diagnostics, per-comparison KS
+results, and a run-metadata file that lists every other file the run
+wrote with its sha256.
 
 All outputs are deterministic: fixed vowel ordering, no timestamps, full
 float precision in CSV/JSON, and atomic write-then-rename file emission.
@@ -47,7 +48,7 @@ from .alignment import (
 )
 from .durations import build_histogram, collect_cells, filter_outliers, pooled_samples
 from .features import VOWEL_ORDER, ContrastReport, compare_corpora, contrast_report
-from .gamma import GammaFit, gamma_pdf
+from .gamma import GammaFit, gamma_cdf, gamma_pdf
 from .stattests import TestResult, dip_test
 
 __all__ = [
@@ -69,7 +70,8 @@ VOWEL_SLUGS = {"i": "i", "e": "e", "ɛ": "eh", "a": "a", "ɔ": "oh",
                "o": "o", "u": "u", "ə": "schwa"}
 
 TABLE_COLUMNS = ("vowel", "n_short", "n_long", "mu_short_ms", "mu_long_ms",
-                 "r1", "r2", "area", "delta_ms", "significant", "flags", "error")
+                 "r1", "r2", "area", "delta_ms", "crossings_ms", "significant",
+                 "flags", "error")
 
 # The feature-table file of each output format, in the default order.
 FORMAT_FILES = {"csv": "features.csv", "json": "features.json",
@@ -249,6 +251,7 @@ def _table_row(report: ContrastReport, full_precision: bool) -> list[str]:
                     R2_UNDEFINED_MARK, full_precision),
         area,
         delta,
+        ";".join(map(repr, report.crossings_ms)),
         _fmt(report.significant),
         _flags_str(report),
         report.error or "",
@@ -276,7 +279,8 @@ def _report_dict(report: ContrastReport) -> dict:
 
 def report_from_dict(obj: dict) -> ContrastReport:
     """Inverse of the JSON report serialization (exact field recovery)."""
-    fields = dict(obj, flags=frozenset(obj["flags"]))
+    fields = dict(obj, flags=frozenset(obj["flags"]),
+                  crossings_ms=tuple(obj["crossings_ms"]))
     for key in _FIT_FIELDS:
         if obj[key] is not None:
             ll = obj[key]["log_likelihood"]
@@ -319,6 +323,7 @@ def emit_table(reports, fmt: str) -> str:
         lines = [header, sep]
         for r in reports:
             row = _table_row(r, full_precision=False)
+            del row[TABLE_COLUMNS.index("crossings_ms")]  # CSV and JSON only
             cells = row[:10] + [row[10] if not r.error else
                                 (row[10] + " ERROR").strip()]
             lines.append("| " + " | ".join(cells) + " |")
@@ -326,23 +331,54 @@ def emit_table(reports, fmt: str) -> str:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> float:
-    """Right end (ms) of the plot grid: the larger mode + 40 SD of the fits."""
-    limit = 0.0
-    for fit in (fit_short, fit_long):
-        mode = (fit.shape - 1.0) * fit.scale if fit.shape >= 1.0 else 0.0
-        limit = max(limit, mode + 40.0 * math.sqrt(fit.shape) * fit.scale)
-    return limit
+# Most rows of a plot file, counted as the grid's rows plus one per
+# histogram bin; past it the grid's step grows from 1 ms.
+PLOT_ROWS_MAX = 10_000
+# The grid reaches the first whole ms where both fitted CDFs are >= 1 - this.
+PLOT_TAIL_MASS = 1e-6
 
 
-def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float) -> str:
+def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit, bins: int,
+                      bin_width_ms: float) -> tuple[int, int]:
+    """End and step (whole ms) of the plot grid of two fits whose larger
+    histogram has `bins` bins of width `bin_width_ms`.
+
+    The end is the first whole ms where both fitted CDFs reach
+    1 - PLOT_TAIL_MASS, or the right edge of the last bin rounded up,
+    whichever is further out, so every bin center lies on the grid.  The
+    step is the smallest whole ms that keeps the grid's rows plus one row
+    per bin within PLOT_ROWS_MAX, or that end itself when the bins leave
+    no room; the grid then ends at the first multiple of the step at or
+    past that end.
+    """
+    def covered(ms: int) -> bool:
+        return all(gamma_cdf(fit.shape, ms / fit.scale) >= 1.0 - PLOT_TAIL_MASS
+                   for fit in (fit_short, fit_long))
+
+    # double a bracket up from 1 ms, then bisect it: for shapes << 1 the
+    # quantile lies far past mode + 40 SD.  covered(0) is False: F(0) = 0
+    lo, hi = 0, 1
+    while not covered(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if covered(mid) else (mid, hi)
+    end = max(hi, math.ceil(bins * bin_width_ms))
+    step = -(-end // max(PLOT_ROWS_MAX - bins - 1, 1))
+    return -(-end // step) * step, step
+
+
+def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float,
+                  grid: dict | None = None) -> str:
     """CSV with histogram step densities and fitted curves for one vowel.
 
     Columns: x_ms, hist_density_short, hist_density_long, pdf_short,
     pdf_long.  x runs over the union of the bin centers of the vowel's
-    cells in the (vowel, length) -> samples map `cells` and a 1 ms grid
-    across [0, U]; enough to re-render the usual histogram + density-curve
-    figures in any plotter.
+    cells in the (vowel, length) -> samples map `cells` and a grid of
+    whole ms from 0 to where the fits' mass ends (`_plot_upper_limit`);
+    enough to re-render the usual histogram + density-curve figures in
+    any plotter.  A `grid` dict receives the grid's `upper_ms` and
+    `step_ms`.
     """
     if report.fit_short is None or report.fit_long is None:
         raise ValueError(
@@ -350,10 +386,14 @@ def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float) -> str:
             + (f" ({report.error})" if report.error else ""))
     counts = [build_histogram(cells[(report.vowel_class, length)], bin_width_ms)
               for length in ("short", "long")]
-    upper = _plot_upper_limit(report.fit_short, report.fit_long)
-    xs = np.unique(np.concatenate(
-        [np.arange(int(math.ceil(upper)) + 1, dtype=np.float64)]
-        + [(np.arange(c.size) + 0.5) * bin_width_ms for c in counts]))
+    upper, step = _plot_upper_limit(report.fit_short, report.fit_long,
+                                    max(c.size for c in counts), bin_width_ms)
+    if grid is not None:
+        grid.update(upper_ms=upper, step_ms=step)
+    xs = np.concatenate([np.arange(0, upper + 1, step).astype(np.float64)]
+                        + [(np.arange(c.size) + 0.5) * bin_width_ms for c in counts])
+    xs.sort()  # not np.unique: on floats it imports numpy.ma (13-22 ms)
+    xs = xs[np.append(True, xs[1:] != xs[:-1])]
     # each bin's density count / (n * w), then 0 for every x past the last
     # bin; row x reads bin floor(x / w), the bin that counts a sample at x
     columns = [np.append(c / (c.sum() * bin_width_ms), 0.0)[
@@ -551,13 +591,16 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
         for fmt in config.output_formats:
             if reports:
                 outputs[corpus_dir / FORMAT_FILES[fmt]] = emit_table(reports, fmt)
+        plots: dict[str, dict] = {}  # vowel -> its plot grid's end and step
         for report in reports:
             if report.fit_short is not None and report.fit_long is not None:
                 slug = VOWEL_SLUGS[report.vowel_class]
+                grid = plots[report.vowel_class] = {}
                 outputs[corpus_dir / f"plot_{slug}.csv"] = emit_plotdata(
-                    report, cells, config.bin_width_ms)
+                    report, cells, config.bin_width_ms, grid)
         outputs[corpus_dir / "diagnostics.json"] = _json_text(
-            {"corpus_id": source.corpus_id, "dip": _diagnostics(cells)})
+            {"corpus_id": source.corpus_id, "dip": _diagnostics(cells),
+             "plot": plots})
 
     for a, b in config.comparisons:
         rows = _comparison_rows(a, corpus_cells[a], b, corpus_cells[b])

@@ -18,8 +18,9 @@ or the same ParseError message and line.
 xoshiro256** step, one gamma variate and one interval tuple at a time,
 which the package's block generator must equal byte for byte.
 `emit_plotdata_scalar` is the plot-file emitter made with a set-and-sort
-x grid and a per-row step-function lookup, which the package's column
-emitter must equal byte for byte.
+x grid, an upward scan for the grid's end and step, and a per-row
+step-function lookup, which the package's column emitter must equal byte
+for byte.
 """
 
 from __future__ import annotations
@@ -434,10 +435,17 @@ def _decimal_difference(lo_text: str, hi_text: str) -> float:
     return float(Decimal(hi_text) - Decimal(lo_text))
 
 
-def parse_textgrid_scanner(text: str, utterance_id: str = ""):
+def parse_textgrid_scanner(text: str, utterance_id: str = "", reads=None):
     """(tier name, IntervalTable) per interval tier of a Praat long-format
     TextGrid, read one scanner step at a time; raises ParseError with the
-    message and line the package's reader must give."""
+    message and line the package's reader must give.
+
+    The scanner checks no time against the bounds that hold it.  A `reads`
+    list gets a (kind, line, value) entry for each bound, each interval
+    time and each point header line read, in reading order, so that a test
+    can apply those checks to what the scanner read; an interval's start
+    is entered after its negative-start check."""
+    reads = [] if reads is None else reads
     scanner = _TextGridScanner(text)
     lineno, header = scanner.expect("TextGrid header")
     if header.lstrip("\ufeff") != 'File type = "ooTextFile"':
@@ -447,10 +455,11 @@ def parse_textgrid_scanner(text: str, utterance_id: str = ""):
     if klass != 'Object class = "TextGrid"':
         raise ParseError(f"not a TextGrid object: {klass!r}", lineno)
 
-    _, xmin, _ = _expect_number(scanner, "xmin")
+    xmin_line, xmin, _ = _expect_number(scanner, "xmin")
     xmax_line, xmax, _ = _expect_number(scanner, "xmax")
     if xmax < xmin:
         raise ParseError(f"file xmax {xmax} < xmin {xmin}", xmax_line)
+    reads += [("file xmin", xmin_line, xmin), ("file xmax", xmax_line, xmax)]
     lineno, tiers_flag = scanner.expect("tiers? flag")
     if not tiers_flag.startswith("tiers?"):
         raise ParseError(f"expected tiers? flag, got {tiers_flag!r}", lineno)
@@ -474,8 +483,10 @@ def parse_textgrid_scanner(text: str, utterance_id: str = ""):
         tier_class = _unquote(klass_v, class_line)
         lineno, name_v = _expect_kv(scanner, "name")
         tier_name = _unquote(name_v, lineno)
-        _expect_number(scanner, "xmin")
-        _expect_number(scanner, "xmax")
+        lineno, tier_xmin, _ = _expect_number(scanner, "xmin")
+        reads.append(("tier xmin", lineno, tier_xmin))
+        lineno, tier_xmax, _ = _expect_number(scanner, "xmax")
+        reads.append(("tier xmax", lineno, tier_xmax))
 
         lineno, line = scanner.expect("size of tier contents")
         m = _SIZE_RE.match(line)
@@ -485,7 +496,7 @@ def parse_textgrid_scanner(text: str, utterance_id: str = ""):
 
         if tier_class == "TextTier":
             for _ in range(count):
-                scanner.expect("point header")  # points [i]:
+                reads.append(("point header", *scanner.expect("point header")))
                 _expect_number(scanner, "number")
                 lineno, mark = _expect_kv(scanner, "mark")
                 _unquote(mark, lineno)
@@ -504,7 +515,9 @@ def parse_textgrid_scanner(text: str, utterance_id: str = ""):
             xmin_line, ixmin, ixmin_text = _expect_number(scanner, "xmin")
             if ixmin < 0.0:
                 raise ParseError(f"negative start time {ixmin_text}", xmin_line)
+            reads.append(("interval xmin", xmin_line, ixmin))
             ix_line, ixmax, ixmax_text = _expect_number(scanner, "xmax")
+            reads.append(("interval xmax", ix_line, ixmax))
             lineno, text_v = _expect_kv(scanner, "text")
             label = _unquote(text_v, lineno).strip()
             if ixmax < ixmin:
@@ -715,16 +728,29 @@ def _densities(samples, bin_width_ms: float) -> tuple:
     return tuple(float(d) for d in counts / (len(samples) * bin_width_ms))
 
 
-def emit_plotdata_scalar(report, cells, bin_width_ms: float) -> str:
-    """The plot CSV of one vowel: x over the set of the 1 ms grid and both
-    histograms' bin centers, sorted, each row looked up one x at a time."""
-    from vlcontrast.gamma import gamma_pdf
-    from vlcontrast.report import _plot_upper_limit
+def emit_plotdata_scalar(report, cells, bin_width_ms: float, rows_max: int) -> str:
+    """The plot CSV of one vowel: x over the set of a whole-ms grid and both
+    histograms' bin centers, sorted, each row looked up one x at a time.
+
+    The grid ends at the first whole ms, found by counting up from 1, where
+    both fitted CDFs reach 1 - 1e-6, or at the last bin's right edge
+    rounded up if that is further; its step is the first whole ms, counting
+    up from 1, at which the grid's rows plus one row per bin fit in
+    `rows_max`, or that end itself."""
+    from vlcontrast.gamma import gamma_cdf, gamma_pdf
 
     hists = [_densities(cells[(report.vowel_class, length)], bin_width_ms)
              for length in ("short", "long")]
-    upper = _plot_upper_limit(report.fit_short, report.fit_long)
-    xs = set(float(x) for x in range(0, int(math.ceil(upper)) + 1))
+    bins = max(map(len, hists))
+    end = 1
+    while any(gamma_cdf(fit.shape, end / fit.scale) < 1.0 - 1e-6
+              for fit in (report.fit_short, report.fit_long)):
+        end += 1
+    end = max(end, math.ceil(bins * bin_width_ms))
+    step = 1
+    while step < end and math.ceil(end / step) + 1 + bins > rows_max:
+        step += 1
+    xs = set(float(x) for x in range(0, end + step, step))
     for densities in hists:
         for i in range(len(densities)):
             xs.add((i + 0.5) * bin_width_ms)

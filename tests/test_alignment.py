@@ -177,6 +177,16 @@ TEXTGRID_ERRORS = (
      "expected quoted string, got 'phones'", 11),
     ('class = "IntervalTier"', 'klass = "IntervalTier"',
      "expected 'class' assignment, got 'klass = \"IntervalTier\"'", 10),
+    ("        xmin = 0\n", "        xmin = -1\n",
+     "tier xmin -1.0 lies before the file's xmin 0.0", 12),
+    ("        xmin = 0\n        xmax = 1.0", "        xmin = 0.5\n        xmax = 0.3",
+     "tier xmax 0.3 < xmin 0.5", 13),
+    ("        xmax = 1.0", "        xmax = 2",
+     "tier xmax 2.0 lies past the file's xmax 1.0", 13),
+    ("        xmin = 0\n", "        xmin = 0.2\n",
+     "interval starting at 0.1 lies before its tier's xmin 0.2", 16),
+    ("        xmax = 1.0", "        xmax = 0.2",
+     "interval ending at 0.25 lies past its tier's xmax 0.2", 17),
 )
 
 
@@ -219,6 +229,68 @@ def test_textgrid_point_tier_skipped(caplog):
         tiers = parse_textgrid(text)
     assert [t[0] for t in tiers] == ["phones"]
     assert any("point tier" in rec.message for rec in caplog.records)
+
+
+# A file whose every time lies outside the bounds that hold it: the file
+# ends at 1 s, the phones tier runs from 5 s to 1 s, its interval from 0 s
+# to 7 s, and the point tier's header line holds a time.
+OUT_OF_BOUNDS_TEXTGRID = (
+    TG_HEADER.replace("size = 1", "size = 2")
+    + "    item [1]:\n"
+    + '        class = "IntervalTier"\n'
+    + '        name = "phones"\n'
+    + "        xmin = 5\n"
+    + "        xmax = 1\n"
+    + "        intervals: size = 1\n"
+    + "        intervals [1]:\n"
+    + "            xmin = 0\n"
+    + "            xmax = 7\n"
+    + '            text = "a"\n'
+    + "    item [2]:\n"
+    + '        class = "TextTier"\n'
+    + '        name = "events"\n'
+    + "        xmin = 0\n"
+    + "        xmax = 1\n"
+    + "        points: size = 1\n"
+    + "        xmin = 9\n"
+    + "            number = 0.5\n"
+    + '            mark = "beep"\n'
+)
+
+
+# (fixes to the file, the line the first error names, what it holds, the
+# message): each fix leaves the next time out of bounds, until none is.
+@pytest.mark.parametrize("fixes, line, held, message", [
+    ((), 13, "xmax = 1", "tier xmax 1.0 < xmin 5.0"),
+    ((("xmin = 5", "xmin = 0"),), 17, "xmax = 7",
+     "interval ending at 7.0 lies past its tier's xmax 1.0"),
+    ((("xmax = 1\n        intervals", "xmax = 10\n        intervals"),), 13, "xmax = 10",
+     "tier xmax 10.0 lies past the file's xmax 1.0"),
+    ((("xmax = 1.0", "xmax = 10"),
+      ("xmax = 1\n        intervals", "xmax = 10\n        intervals")), 16, "xmin = 0",
+     "interval starting at 0.0 lies before its tier's xmin 5.0"),
+    ((("xmin = 5", "xmin = 0"), ("xmax = 7", "xmax = 1")), 25, "xmin = 9",
+     "expected point header, got 'xmin = 9'"),
+])
+def test_textgrid_checks_times_against_the_bounds_that_hold_them(
+        fixes, line, held, message):
+    text = OUT_OF_BOUNDS_TEXTGRID
+    for old, new in fixes:
+        assert old in text
+        text = text.replace(old, new, 1)
+    with pytest.raises(ParseError) as err:
+        parse_textgrid(text)
+    assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
+    assert text.splitlines()[line - 1].strip() == held
+
+
+def test_textgrid_within_its_bounds_reads_one_token():
+    text = OUT_OF_BOUNDS_TEXTGRID
+    for old, new in (("xmin = 5", "xmin = 0"), ("xmax = 7", "xmax = 1"),
+                     ("xmin = 9", "points [1]:")):
+        text = text.replace(old, new, 1)
+    assert [(name, rows(table)) for name, table in parse_textgrid(text)] == [
+        ("phones", [("", "a", 0.0, 1.0)])]
 
 
 def test_ctm_empty():

@@ -1,10 +1,13 @@
 """Numpy is the only runtime dependency: every import in the package is
 of the standard library, numpy or the package itself.  Inside the
 package, each module imports only what `PACKAGE_LAYERS` allows it.
-Every exported name exists."""
+Every exported name exists, and a run imports no numpy module it does
+not need."""
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -119,3 +122,38 @@ def test_package_imports_follow_the_layers():
             if extra:
                 breaches[name] = sorted(extra)
     assert breaches == {}
+
+
+# A run over a CTM and a TextGrid corpus with a comparison, in a fresh
+# interpreter; prints whether numpy.ma was imported.
+ANALYSIS_SCRIPT = """
+import sys
+from pathlib import Path
+from vlcontrast.report import AnalysisConfig, CorpusSource, run_analysis
+from vlcontrast.synthgen import CellSpec, CorpusSpec, generate_corpus
+
+root = Path(sys.argv[1])
+for seed, (cid, fmt) in enumerate((("c", "ctm"), ("t", "textgrid"))):
+    spec = CorpusSpec(cid, seed=seed, cells=(CellSpec("a", "short", 6.0, 11.5, 200),
+                                             CellSpec("a", "long", 7.0, 17.5, 100)),
+                      utterance_size=10, emit_formats=(fmt,))
+    (root / cid).mkdir()
+    for name, text in generate_corpus(spec).files.items():
+        (root / cid / name).write_text(text, encoding="utf-8")
+run_analysis(AnalysisConfig(
+    corpora=(CorpusSource("c", (str(root / "c"),), "ctm"),
+             CorpusSource("t", (str(root / "t"),), "textgrid")),
+    output_dir=str(root / "out"), comparisons=(("c", "t"),)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_does_not_import_numpy_ma(tmp_path):
+    # importing numpy.ma costs 13-22 ms, and a float np.unique does it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_DIR.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", ANALYSIS_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "t" / "plot_a.csv").is_file()
+    assert done.stdout == "False\n"

@@ -240,8 +240,56 @@ def _textgrid_rows(parse):
                          for row in [(name, "", 0.0, 0.0)] + rows(table)]
 
 
+# Rounding slack of the bounds checks, in seconds.
+BOUND_SLACK_S = 1e-9
+
+
+def _bounds_error(reads):
+    """(message, line) of the first time in the scanner's `reads` that lies
+    outside the bounds that hold it, or of a point header that is not one;
+    None when there is none."""
+    bounds = {}
+    for kind, line, value in reads:
+        if kind == "point header":
+            if not alignment._ITEM_RE.match(value):
+                return f"expected point header, got {value!r}", line
+            continue
+        if kind == "tier xmin" and value < bounds["file xmin"] - BOUND_SLACK_S:
+            return (f"tier xmin {value} lies before the file's xmin "
+                    f"{bounds['file xmin']}"), line
+        if kind == "tier xmax":
+            if value < bounds["tier xmin"]:
+                return f"tier xmax {value} < xmin {bounds['tier xmin']}", line
+            if value > bounds["file xmax"] + BOUND_SLACK_S:
+                return (f"tier xmax {value} lies past the file's xmax "
+                        f"{bounds['file xmax']}"), line
+        if kind == "interval xmin" and value < bounds["tier xmin"] - BOUND_SLACK_S:
+            return (f"interval starting at {value} lies before its tier's xmin "
+                    f"{bounds['tier xmin']}"), line
+        if kind == "interval xmax" and value > bounds["tier xmax"] + BOUND_SLACK_S:
+            return (f"interval ending at {value} lies past its tier's xmax "
+                    f"{bounds['tier xmax']}"), line
+        bounds[kind] = value
+    return None
+
+
+def _checked_scanner(text, utterance_id=""):
+    """The scanner's rows, or the first error in reading order: its own, or
+    the first bounds error in what it read before that."""
+    reads = []
+    try:
+        tiers = parse_textgrid_scanner(text, utterance_id, reads)
+    except ParseError as err:
+        found = _bounds_error(reads)
+        raise err if found is None else ParseError(*found) from None
+    found = _bounds_error(reads)
+    if found is not None:
+        raise ParseError(*found)
+    return tiers
+
+
 TG_READ = _textgrid_rows(parse_textgrid)
-TG_ORACLE = _textgrid_rows(parse_textgrid_scanner)
+TG_ORACLE = _textgrid_rows(_checked_scanner)
 TG_LINE_ENDS = ("\n", "\r\n", "\r", "\x85")
 INDENTS = ("", "    ", "\t", " \u3000")
 
@@ -309,7 +357,7 @@ INSERTED_CHARS = tuple('"= \t0.-e[]:?x_') + ("\ufeff", "\r", "\x85", "\u3000", "
 def _mutate(draw, lines):
     """`lines` with one line deleted, duplicated or inserted, a character
     inserted into one, a count changed by one, or a time replaced by
-    another of the file's times or a negative one."""
+    another of the file's times, a negative one or one past them all."""
     lines = list(lines)
     kind = draw(st.sampled_from(
         ("delete", "duplicate", "insert", "char", "count", "time")))
@@ -321,12 +369,12 @@ def _mutate(draw, lines):
         cut = draw(st.integers(0, len(line)))
         lines[min(at, len(lines) - 1)] = (
             line[:cut] + draw(st.sampled_from(INSERTED_CHARS)) + line[cut:])
-    elif kind == "time":  # reversed, overlapping, zero-length or negative
+    elif kind == "time":  # reversed, overlapping, zero-length, negative, out of bounds
         timed = [i for i, line in enumerate(lines)
                  if line.lstrip().startswith(("xmin =", "xmax ="))]
         if timed:
             i, j = draw(st.sampled_from(timed)), draw(st.sampled_from(timed))
-            value = draw(st.sampled_from((lines[j].partition("=")[2], " -0.5")))
+            value = draw(st.sampled_from((lines[j].partition("=")[2], " -0.5", " 99")))
             lines[i] = lines[i].partition("=")[0] + "=" + value
     elif kind == "count":  # a size one less or one more
         numbered = [i for i, line in enumerate(lines) if line.rstrip()[-1:].isdigit()]
@@ -419,6 +467,10 @@ TEXTGRID_MUTATIONS = (
      "line 30: interval starting at 0.2 overlaps previous interval ending at 0.25"),
     (_replaced("xmax = 0.25", "x max  =0.25"), None),               # spaced key
     (TWO_TIERS[:7] + TWO_TIERS[8:], None),                         # no "item []:"
+    (_replaced("xmax = 0.25", "xmax = 2"),
+     "line 26: interval ending at 2.0 lies past its tier's xmax 1.0"),
+    (_replaced("points [1]:", "number = 0.5"),
+     "line 15: expected point header, got 'number = 0.5'"),
 )
 
 

@@ -10,6 +10,7 @@ import shlex
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from tables import rows
 
-from vlcontrast import alignment, synthgen
+from vlcontrast import alignment, report as report_module, synthgen
 from vlcontrast.cli import _build_parser, main as cli_main
 from vlcontrast.durations import DurationSampleSet, build_histogram
-from vlcontrast.features import ContrastReport, contrast_report
+from vlcontrast.features import ContrastReport, contrast_report, density_crossings
 from vlcontrast.gamma import GammaFit
 from vlcontrast.report import (
+    PLOT_ROWS_MAX,
     AnalysisConfig,
     ConfigError,
     CorpusLoadError,
@@ -117,6 +119,13 @@ def test_features_json_round_trips_exactly(mimic_run):
         (out / "read-mimic" / "features.json").read_text(encoding="utf-8"))
     recovered = [report_from_dict(obj) for obj in payload["reports"]]
     assert recovered == result.reports["read-mimic"]
+    # the crossings the area was read from, in the JSON and the CSV
+    table = list(csv.DictReader(io.StringIO(
+        (out / "read-mimic" / "features.csv").read_text(encoding="utf-8"))))
+    for rep, row in zip(recovered, table, strict=True):
+        assert rep.crossings_ms == density_crossings(rep.fit_short, rep.fit_long)
+        assert len(rep.crossings_ms) >= 1
+        assert row["crossings_ms"] == ";".join(map(repr, rep.crossings_ms))
 
 
 def test_kaldi_style_ctm_gives_the_same_outputs_on_the_column_path(
@@ -247,9 +256,10 @@ def test_plotdata_histogram_columns_are_step_densities():
     assert max(x for x in columns if x < 70.0) == 69.0
     assert {columns[x][0] for x in columns if 60.0 <= x < 70.0} == {"0.0"}
     assert columns[135.0][0] == "0.05"
-    # every x past the cell's last bin [130, 140) reads 0
-    past = [x for x in columns if x >= 140.0]
-    assert len(past) > 1000
+    # every x past the cell's last bin [130, 140) reads 0, on each whole ms
+    # up to the grid end
+    past = sorted(x for x in columns if x >= 140.0)
+    assert past == [float(x) for x in range(140, int(max(columns)) + 1)]
     assert {columns[x][0] for x in past} == {"0.0"}
     assert {columns[x][1] for x in columns if x >= 310.0} == {"0.0"}
     assert columns[305.0][1] == "0.1"
@@ -264,7 +274,7 @@ def test_plot_row_reads_the_bin_that_counts_it():
     columns = _plot_columns(text)
     assert columns[7.0][0] == repr(4 / (4 * 0.1))
     assert columns[69.5 * 0.1][0] == "0.0"
-    assert text == oracles.emit_plotdata_scalar(_report(), cells, 0.1)
+    assert text == oracles.emit_plotdata_scalar(_report(), cells, 0.1, PLOT_ROWS_MAX)
 
 
 def _positive_samples(width):
@@ -285,15 +295,65 @@ def test_plotdata_equals_the_scalar_referee(data):
     cells = {("a", length): np.array(data.draw(_positive_samples(width), length))
              for length in ("short", "long")}
     rep = _report(fit_short=fits[0], fit_long=fits[1])
-    assert (emit_plotdata(rep, cells, width)
-            == oracles.emit_plotdata_scalar(rep, cells, width))
+    # a small cap makes the grid step past 1 ms, or leaves only its two ends
+    rows_max = data.draw(st.just(PLOT_ROWS_MAX) | st.integers(2, 600), "rows_max")
+    with mock.patch.object(report_module, "PLOT_ROWS_MAX", rows_max):
+        text = emit_plotdata(rep, cells, width)
+    assert text == oracles.emit_plotdata_scalar(rep, cells, width, rows_max)
+
+
+def test_plot_grid_step_is_the_smallest_that_fits_each_cap():
+    # a grid end near 220 ms and 7 bins, against every cap up to a 1 ms step
+    rep = _report(fit_short=GammaFit(6.0, 5.0), fit_long=GammaFit(7.0, 8.0))
+    cells = {("a", "short"): np.array([30.0, 40.0]), ("a", "long"): np.array([60.0])}
+    steps = []
+    for rows_max in range(2, 240):
+        grid = {}
+        with mock.patch.object(report_module, "PLOT_ROWS_MAX", rows_max):
+            text = emit_plotdata(rep, cells, 10.0, grid)
+        assert text == oracles.emit_plotdata_scalar(rep, cells, 10.0, rows_max)
+        steps.append(grid["step_ms"])
+    assert steps[-1] == 1 and max(steps) == grid["upper_ms"] > 200
+
+
+def test_plot_grid_of_a_heavy_tailed_cell_stays_within_the_cap(tmp_path):
+    # a long cell drawn from k = 0.34, theta = 20.8 s: its 1 - 1e-6 quantile
+    # lies over 150 s out, so a 1 ms grid would take 150,000 rows
+    spec = CorpusSpec("heavy", seed=5, cells=(
+        CellSpec("a", "short", 6.0, 11.5, 400),
+        CellSpec("a", "long", 0.34, 20_800.0, 300)),
+        utterance_size=10, emit_formats=("ctm",))
+    ctm = tmp_path / "heavy.ctm"
+    ctm.write_text(generate_corpus(spec).files["heavy.ctm"], encoding="utf-8")
+    out = tmp_path / "out"
+    result = run_analysis(AnalysisConfig(
+        corpora=(CorpusSource("heavy", (str(ctm),), "ctm"),), output_dir=str(out)))
+    (rep,) = result.reports["heavy"]
+    assert rep.fit_long.shape < 0.5 and rep.fit_long.scale > 10_000.0
+    text = (out / "heavy" / "plot_a.csv").read_text(encoding="utf-8")
+    xs = [float(line.partition(",")[0]) for line in text.splitlines()[1:]]
+    grid = json.loads((out / "heavy" / "diagnostics.json").read_text(
+        encoding="utf-8"))["plot"]["a"]
+    assert len(xs) <= PLOT_ROWS_MAX
+    assert grid["step_ms"] > 1 and grid["upper_ms"] % grid["step_ms"] == 0
+    assert max(xs) == grid["upper_ms"] > 150_000
+    # the fit the cell was drawn from, with 4,001 bins of 10 ms, against
+    # the referee's own scan for the grid's end and step
+    rep = _report(fit_long=GammaFit(0.34, 20_800.0))
+    cells = {("a", "short"): np.array([70.0, 80.0]),
+             ("a", "long"): np.array([50.0, 40_000.0])}
+    grid = {}
+    text = emit_plotdata(rep, cells, 10.0, grid)
+    assert text.count("\n") - 1 <= PLOT_ROWS_MAX
+    assert grid["step_ms"] > 1
+    assert text == oracles.emit_plotdata_scalar(rep, cells, 10.0, PLOT_ROWS_MAX)
 
 
 def test_features_csv_quotes_an_error_that_holds_commas():
     rep = contrast_report("a", "t", np.linspace(60.0, 90.0, 30), np.array([120.0]))
     table = emit_table([rep], "csv")
     parsed = list(csv.reader(io.StringIO(table)))
-    assert [len(row) for row in parsed] == [12, 12]
+    assert [len(row) for row in parsed] == [13, 13]
     assert parsed[1][-1] == rep.error == "long: need at least 2 samples, got 1"
     assert table.endswith(',"long: need at least 2 samples, got 1"\n')
 
@@ -893,38 +953,41 @@ def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
 # sha256 of every file a two-corpus run writes (CTM + TextGrid, one
 # comparison, all three formats), with and without the outlier filter,
 # recorded while the cells still travelled as DurationSampleSet records;
-# run_metadata.json re-pinned when it gained its `outputs` manifest. It
-# is hashed without its config_sha256 line, which covers the tmp_path paths.
+# run_metadata.json re-pinned when it gained its `outputs` manifest, and
+# with the plot files, diagnostics.json and the features.csv/.json files
+# when the plot grid came to end where the fits' mass does and the tables
+# gained `crossings_ms`. run_metadata.json is hashed without its
+# config_sha256 line, which covers the tmp_path paths.
 TWO_CORPUS_PIN_SHA256 = {
     True: {
-        "corpA/diagnostics.json": "4650e75be9d9887a6c4675f5a260544bf04a3429fc54f2db47ecbb72e0b45fb4",
-        "corpA/features.csv": "c18435c3a707ebf196839436c2bf01a8b27e4ae446f344d834beb5cf04ec4cd9",
-        "corpA/features.json": "dc6edf828c72a453cf35261d790e9e6666ca03c75e10efd8751332d21948d50a",
+        "corpA/diagnostics.json": "b161391e5e01f473b39be9afbf18a8d18041528f74f5057920933fa4c243c48c",
+        "corpA/features.csv": "2484dc70b5326b7a86ad7432ddaaf5e4d1bb9ad7674a459ddae8f5d80ac7039a",
+        "corpA/features.json": "233e7d536dab42d2965075a52ade94849e71971e5fbd9252469a735120eab2db",
         "corpA/features.md": "16518cf9dd40e6e6a101df974e42e68459952b93a4853dd17735a5e152e6c15a",
-        "corpA/plot_a.csv": "ba80ec085a32a673f3f9ca21ddfe024fa86c6571fee539c2619076587e420baa",
-        "corpB/diagnostics.json": "c9c1a41908d138d8c44f433d1bf26dca0fd977c883e45b70515b309ec3694c7c",
-        "corpB/features.csv": "ab7ccb158efe3ea1e3cfe9ee3f894edbd5f886a06a1abc9348d4c167d98449e4",
-        "corpB/features.json": "9f661fd5d7975456ee026d19344361a7fc0d1624210c178698d66a1aede3d782",
+        "corpA/plot_a.csv": "32ff05e7be478a9363ff70bc43aacaca33fbe753948373ad5b0a07d6cc58f894",
+        "corpB/diagnostics.json": "9f2eaf0deca63750c9781d8b5e3e851c24e9f8bab13c8f296e2ffbf7d935d015",
+        "corpB/features.csv": "3318582a8cab44b3a1bb7ae8312d494aa3b3532e23a048dc9666e46a2a92f00c",
+        "corpB/features.json": "645288a3c5850ea3942c9952392fd448d806c2d2f0aca0c4d7896acde0234756",
         "corpB/features.md": "833edfd3562884fc24a50da8da17f3bd6fc1144456625b24ec1cec82f6097403",
-        "corpB/plot_a.csv": "4dcbafce9d0e1ebe370ed95ffe171b51739536e3eed1ea76c528abd0571ebc78",
+        "corpB/plot_a.csv": "aefbc20c0ed0e8f7408de0f19e947e57af8bc5f8bc647a16b01cca3f17b125ee",
         "ks_corpA_vs_corpB.csv": "1d78fa2f3488d2eef998ee706b8bb00d9763462c234c47cb703fc857c23666fc",
         "ks_corpA_vs_corpB.json": "8004ecfa0ecfca82933097b74ee6e8337c7670e28413942a2fee08bf1d21eea4",
-        "run_metadata.json": "8f0067b592030c7f14a790a70ecaeb45af1859e5999a62e421bdfe96eb70b4eb",
+        "run_metadata.json": "94a25e94416b3f1f319ffae5aca7f553db18489d7d671dc519ec14cb26f5fe4c",
     },
     False: {
-        "corpA/diagnostics.json": "36e1db9573c5eba835a2b6351e50a42ab55ee22222481c4fc5b9626a8b780ba6",
-        "corpA/features.csv": "8cf2426c05b0c19a605723e81775e4bd5b4f6c894fbcc8616ce38437ef6f3108",
-        "corpA/features.json": "bae9cd513fc57b6dd6a9a911a6ad1a39e4e9745793e100b35633d9ef7b122a7f",
+        "corpA/diagnostics.json": "d7f555ddc7634538023582b7a51f602c2394ea2ae85779aaa29552c3853a1d1d",
+        "corpA/features.csv": "090f7fe671d689e5acbd05616ae8078cd11bcaf988e7f3a7433dfdfcdd57fe8b",
+        "corpA/features.json": "1d0a98ec82c338b32f7885988122575e9988d01f83a17748ea4cf90f02fc0f8e",
         "corpA/features.md": "4050174f781b576778f864dc5ad29b1fd0480b639ff269476ea97179ec525daa",
-        "corpA/plot_a.csv": "46453c73cb3fffe8e39311f3c36c7cb54efe3c1280d0337475f48c37190d70b7",
-        "corpB/diagnostics.json": "e71ee7f68f81c61af68dee0bb96ca06a4d31b10233e522eb173aec79fac1a399",
-        "corpB/features.csv": "b808c6c5dad28935635de6aaabeb330957de17d53857c69ffdfbfd53e06de8ca",
-        "corpB/features.json": "b9494fc953845546c0a36775a7acd47515ebcf802ebf80e5fa29ece4f68c6ade",
+        "corpA/plot_a.csv": "e807a9505ba0499fcf6c68bc6fe00a470252d77d75ddab4e2d52f008667ea6b4",
+        "corpB/diagnostics.json": "55bb330dcef7c13a63b5d5a2b995e7e45d5c4270b4e4bf8feda597866787c07a",
+        "corpB/features.csv": "802bf8c75918d9f5b1c29116b94203838e1c0fde28a57f43d014ea33c617953c",
+        "corpB/features.json": "a39f128b056ec8bec3d80e9bfdcf90901654bcaff45fa5fdb5471a829cd217ae",
         "corpB/features.md": "93adf850581790b23609781604ee087490d6f0b05f2543604f66c45ef4c964ca",
-        "corpB/plot_a.csv": "6208704a32dd936f11b2498cb71d8757d65c413ebd399c06b5e17f507c8e41c1",
+        "corpB/plot_a.csv": "5cd6e4f6bf93f9e07efd07f4994b789f45035e8e3d1d5e428d96fbc8ff70c651",
         "ks_corpA_vs_corpB.csv": "2daa14954593eb62988df7a2a02830ee5aeb3a02a70d811bd1bb2190841211c4",
         "ks_corpA_vs_corpB.json": "52d66dfe93d5dde3134f51ef9ce442b644b57c85491b856cdbf1d267b1083239",
-        "run_metadata.json": "d43f538613e60c81f1781f68f004b96a52c3aa2da1070f9d2b9de1e644983812",
+        "run_metadata.json": "6bf30539844fa62103a9b8e7290b4b8617198f0dc06f8528babc23747d10b302",
     },
 }
 
