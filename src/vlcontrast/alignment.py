@@ -130,8 +130,8 @@ def _json_object(text: str, where: str, types: dict, required,
             obj[key] = value
         return obj
 
-    try:
-        obj = json.loads(text, object_pairs_hook=unique_keys)
+    try:  # RFC 8259 lets a parser ignore a leading byte-order mark
+        obj = json.loads(text.removeprefix("\ufeff"), object_pairs_hook=unique_keys)
     except error:
         raise
     except ValueError as exc:  # bad JSON, or an integer past int's digit limit
@@ -142,8 +142,8 @@ def _json_object(text: str, where: str, types: dict, required,
 
 def _check_corpus_id(corpus_id: str) -> None:
     """A corpus id names a directory the run writes, so it must be one
-    plain path component."""
-    if corpus_id in ("", ".", "..") or {"/", "\\"} & set(corpus_id):
+    plain path component, without the NUL no file name can hold."""
+    if corpus_id in ("", ".", "..") or {"/", "\\", "\0"} & set(corpus_id):
         raise ConfigError("config key 'corpus_id' must be one plain path "
                           f"component, got {corpus_id!r}")
 

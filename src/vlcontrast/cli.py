@@ -1,17 +1,17 @@
 """Command-line front end.
 
-    vlcontrast analyze --config analysis.json [overrides]
+    vlcontrast analyze --config analysis.json
     vlcontrast synth   --spec corpus.json --outdir DIR
 
-Exit codes: 0 success, 1 corpus-level runtime failure, 2 configuration
-or usage error.  Per-vowel failures never abort a run; they surface as
-flagged rows in the feature table.
+Every analysis option is a key of the config file.  Exit codes: 0
+success, 1 corpus-level runtime failure or a failed read or write (an
+OSError), 2 configuration or usage error.  Per-vowel failures never
+abort a run; they surface as flagged rows in the feature table.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -47,14 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="run the full contrast analysis")
     p_analyze.add_argument("--config", required=True, metavar="PATH",
                            help="analysis config JSON")
-    p_analyze.add_argument("--bin-width", type=float, default=None, metavar="MS",
-                           help="histogram bin width in ms (default from config, 10)")
-    p_analyze.add_argument("--no-outlier-filter", action="store_true",
-                           help="disable the 3-sigma outlier rule")
-    p_analyze.add_argument("--speaker-from", default=None, metavar="RULE",
-                           help="speaker id rule: fixed:<id> or prefix:<delim>")
-    p_analyze.add_argument("--outdir", default=None, metavar="DIR",
-                           help="override the configured output directory")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--spec", required=True, metavar="PATH",
@@ -69,17 +61,6 @@ def _cmd_analyze(args) -> int:
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {config_path}")
     config = AnalysisConfig.from_json(config_path.read_text(encoding="utf-8"))
-    updates = {}
-    if args.bin_width is not None:
-        updates["bin_width_ms"] = args.bin_width
-    if args.no_outlier_filter:
-        updates["outlier_filtering"] = False
-    if args.speaker_from is not None:
-        updates["speaker_from"] = args.speaker_from
-    if args.outdir is not None:
-        updates["output_dir"] = args.outdir
-    if updates:
-        config = dataclasses.replace(config, **updates)
     result = run_analysis(config)
     for path in result.output_paths:
         print(f"wrote {path}")
@@ -126,7 +107,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CorpusLoadError as exc:
+    except (CorpusLoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

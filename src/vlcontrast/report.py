@@ -73,9 +73,12 @@ TABLE_COLUMNS = ("vowel", "n_short", "n_long", "mu_short_ms", "mu_long_ms",
                  "r1", "r2", "area", "delta_ms", "crossings_ms", "significant",
                  "flags", "error")
 
-# The feature-table file of each output format, in the default order.
+# The feature-table file of each format, in the order the run writes them.
 FORMAT_FILES = {"csv": "features.csv", "json": "features.json",
                 "markdown": "features.md"}
+
+# The most bytes of one file name (NAME_MAX on Linux and macOS).
+NAME_MAX_BYTES = 255
 
 R1_UNDEFINED_MARK = "NA(no-long-mass)"
 R2_UNDEFINED_MARK = "NA(no-short-mass)"
@@ -100,7 +103,6 @@ _CONFIG_TYPES = {
     "phone_map": _STRING_OR_NULL,
     "bin_width_ms": _NUMBER,
     "outlier_filtering": (lambda v: type(v) is bool, "true or false"),
-    "output_formats": (_list_of(str), "a list of strings"),
     "comparisons": (lambda v: _list_of(list)(v) and all(
         len(pair) == 2 and _list_of(str)(pair) for pair in v),
         "a list of [corpus_id, corpus_id] pairs"),
@@ -124,13 +126,11 @@ class AnalysisConfig:
     phone_map_path: str | None = None
     bin_width_ms: float = 10.0
     outlier_filtering: bool = True
-    output_formats: tuple[str, ...] = tuple(FORMAT_FILES)
     comparisons: tuple[tuple[str, str], ...] = ()
     speaker_from: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "corpora", tuple(self.corpora))
-        object.__setattr__(self, "output_formats", tuple(self.output_formats))
         object.__setattr__(self, "comparisons",
                            tuple(tuple(pair) for pair in self.comparisons))
         if not self.corpora:
@@ -148,9 +148,6 @@ class AnalysisConfig:
             raise ConfigError("config key 'bin_width_ms' must be a positive "
                               f"finite number, got {self.bin_width_ms!r}")
         object.__setattr__(self, "bin_width_ms", float(self.bin_width_ms))
-        for fmt in self.output_formats:
-            if fmt not in FORMAT_FILES:
-                raise ConfigError(f"unknown output format {fmt!r}")
         outputs: dict[str, tuple[str, str]] = {}
         for a, b in self.comparisons:
             if a not in ids or b not in ids:
@@ -163,12 +160,19 @@ class AnalysisConfig:
                                   f"{(a, b)!r} both write {name}.csv")
             outputs[name] = (a, b)
         # files written directly under output_dir, and write_atomic's temp names
-        top = {"run_metadata.json"} | {name + ext for name in outputs for ext in (
-            (".csv", ".json") if "json" in self.output_formats else (".csv",))}
+        top = {"run_metadata.json"} | {name + ext for name in outputs
+                                       for ext in (".csv", ".json")}
         for c in self.corpora:
             if c.corpus_id.removesuffix(".tmp") in top:
                 raise ConfigError(f"config key 'corpus_id' {c.corpus_id!r} names a "
                                   "file the run writes in output_dir")
+        # checked here, as a failed mkdir or write would leave part of a tree;
+        # a comparison's longest name is its KS JSON's temp file
+        for key, name in [("corpus_id", c.corpus_id) for c in self.corpora] + [
+                ("comparisons", f"{name}.json.tmp") for name in outputs]:
+            if len(name.encode("utf-8")) > NAME_MAX_BYTES:
+                raise ConfigError(f"config key {key!r}: the file name {name!r} is "
+                                  f"over {NAME_MAX_BYTES} bytes in UTF-8")
         try:
             speaker_rule(self.speaker_from)
         except ValueError as exc:
@@ -331,8 +335,10 @@ def emit_table(reports, fmt: str) -> str:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-# Most rows of a plot file, counted as the grid's rows plus one per
-# histogram bin; past it the grid's step grows from 1 ms.
+# The row budget of a plot file, counted as the grid's rows plus one per
+# histogram bin; past it the grid's step grows from 1 ms.  Every bin row
+# is kept, so bins that alone pass it leave a grid of 0 and its end only,
+# and the file has more rows than this.
 PLOT_ROWS_MAX = 10_000
 # The grid reaches the first whole ms where both fitted CDFs are >= 1 - this.
 PLOT_TAIL_MASS = 1e-6
@@ -588,9 +594,9 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
         reports = _corpus_reports(cells, source.corpus_id)
         result.reports[source.corpus_id] = reports
         corpus_dir = out_root / source.corpus_id
-        for fmt in config.output_formats:
+        for fmt, name in FORMAT_FILES.items():
             if reports:
-                outputs[corpus_dir / FORMAT_FILES[fmt]] = emit_table(reports, fmt)
+                outputs[corpus_dir / name] = emit_table(reports, fmt)
         plots: dict[str, dict] = {}  # vowel -> its plot grid's end and step
         for report in reports:
             if report.fit_short is not None and report.fit_long is not None:
@@ -607,8 +613,7 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
         result.comparisons[(a, b)] = rows
         stem = _ks_stem(a, b)
         outputs[out_root / f"{stem}.csv"] = _comparison_csv(rows)
-        if "json" in config.output_formats:
-            outputs[out_root / f"{stem}.json"] = _comparison_json(rows)
+        outputs[out_root / f"{stem}.json"] = _comparison_json(rows)
 
     # the bytes write_atomic writes; the metadata cannot list its own hash
     manifest = {path.relative_to(out_root).as_posix():
@@ -621,10 +626,8 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
         "options": {
             "bin_width_ms": config.bin_width_ms,
             "outlier_filtering": config.outlier_filtering,
-            "output_formats": list(config.output_formats),
             "phone_map": config.phone_map_path,
             "speaker_from": config.speaker_from,
-            "ks_on_filtered_durations": config.outlier_filtering,
         },
         "corpora": corpus_counts,
         "outputs": manifest,

@@ -4,6 +4,7 @@ that says where the key sits."""
 
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +123,36 @@ def test_an_integer_past_the_digit_limit_is_invalid_json():
     for reader, (load, error, _) in READERS.items():
         with pytest.raises(error, match=f"^{reader}: invalid JSON: Exceeds the limit"):
             load('{"k": 1' + "0" * 5000 + "}")
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_one_leading_byte_order_mark_is_ignored(reader):
+    # RFC 8259 lets a parser ignore a byte-order mark; an editor may save one
+    load, error, good = READERS[reader]
+    text = json.dumps(good)
+    assert vars(load("\ufeff" + text)) == vars(load(text))
+    with pytest.raises(error, match=f"^{reader}: invalid JSON: Unexpected UTF-8 BOM"):
+        load("\ufeff\ufeff" + text)
+
+
+def test_the_cli_reads_json_files_saved_with_a_byte_order_mark(tmp_path, capsys):
+    from vlcontrast.cli import main
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"corpus_id": "bom", "seed": 4, "cells": [
+        dict(CELL, count=60), dict(CELL, length="long", shape=7, count=40)],
+        "emit_formats": ["ctm"]}), encoding="utf-8-sig")
+    assert main(["synth", "--spec", str(spec_path), "--outdir", str(tmp_path)]) == 0
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"phones": {
+        "a": {"vowel": "a", "length": "short"},
+        "aa": {"vowel": "a", "length": "long"}}}), encoding="utf-8-sig")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"corpus_id": "bom", "paths": [str(tmp_path / "bom")],
+                     "format": "ctm"}],
+        "output_dir": str(tmp_path / "out"), "phone_map": str(map_path)}),
+        encoding="utf-8-sig")
+    assert main(["analyze", "--config", str(config_path)]) == 0
+    assert Path(tmp_path / "out" / "bom" / "features.csv").is_file()
+    capsys.readouterr()

@@ -100,8 +100,9 @@ def test_mimic_output_files(mimic_run):
     assert (out / "run_metadata.json").is_file()
     meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
     assert meta["tool"] == "vlcontrast"
-    assert meta["options"]["bin_width_ms"] == 10.0
-    assert meta["options"]["ks_on_filtered_durations"] is True
+    # KS, like every other output, reads the filtered cells
+    assert meta["options"] == {"bin_width_ms": 10.0, "outlier_filtering": True,
+                               "phone_map": None, "speaker_from": None}
     counts = meta["corpora"]["read-mimic"]
     assert counts["tokens"] == sum(c.count for c in READ_SPEECH_CELLS)
     # one "sil" filler before every token and after each utterance's last
@@ -314,6 +315,16 @@ def test_plot_grid_step_is_the_smallest_that_fits_each_cap():
         assert text == oracles.emit_plotdata_scalar(rep, cells, 10.0, rows_max)
         steps.append(grid["step_ms"])
     assert steps[-1] == 1 and max(steps) == grid["upper_ms"] > 200
+    # at the module's cap, 0.02 ms bins that alone pass it are all kept: the
+    # grid is then only its two ends, and the file has more rows than the cap
+    cells[("a", "long")] = np.array([60.0, 250.0])
+    bins = build_histogram(cells[("a", "long")], 0.02).size
+    assert bins > PLOT_ROWS_MAX
+    grid = {}
+    text = emit_plotdata(rep, cells, 0.02, grid)
+    assert grid["step_ms"] == grid["upper_ms"] == math.ceil(bins * 0.02)
+    assert text.count("\n") - 1 == bins + 2 > PLOT_ROWS_MAX
+    assert text == oracles.emit_plotdata_scalar(rep, cells, 0.02, PLOT_ROWS_MAX)
 
 
 def test_plot_grid_of_a_heavy_tailed_cell_stays_within_the_cap(tmp_path):
@@ -423,8 +434,9 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         AnalysisConfig(corpora=(src,), output_dir="o",
                        comparisons=(("c", "missing"),))
-    with pytest.raises(ConfigError):
-        AnalysisConfig(corpora=(src,), output_dir="o", output_formats=("pdf",))
+    # every run writes every format, so the old key is an unknown key
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['output_formats'\]"):
+        AnalysisConfig.from_json(_config_json(output_formats=["csv"]))
 
 
 def test_config_from_json_and_the_constructor_hash_alike():
@@ -441,8 +453,8 @@ def test_config_from_json_and_the_constructor_hash_alike():
         "output_dir": "o"})) == AnalysisConfig(corpora=(src,), output_dir="o")
     other = CorpusSource("d", ("y.ctm",), "ctm")
     assert AnalysisConfig(corpora=[src, other], output_dir="o",
-                          output_formats=["csv"], comparisons=[["c", "d"]]) == (
-        AnalysisConfig(corpora=(src, other), output_dir="o", output_formats=("csv",),
+                          comparisons=[["c", "d"]]) == (
+        AnalysisConfig(corpora=(src, other), output_dir="o",
                        comparisons=(("c", "d"),)))
 
 
@@ -605,8 +617,10 @@ def test_speaker_from_is_checked_with_the_config(tmp_path, capsys):
             AnalysisConfig.from_json(_config_json(speaker_from=bad))
         assert "speaker_from" in str(err.value)
     config_path = _small_ctm_config(tmp_path)
-    assert cli_main(["analyze", "--config", str(config_path),
-                     "--speaker-from", "prefix:"]) == 2
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps(dict(config, speaker_from="prefix:")),
+                           encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
     assert "speaker_from" in capsys.readouterr().err
     assert not (tmp_path / "outx").exists()
 
@@ -833,6 +847,22 @@ def test_readme_commands_parse():
         _build_parser().parse_args(argv)
 
 
+def _readme_json_block(name):
+    """The ```json block that follows the README's `name`: line."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    return re.search(rf"^`{re.escape(name)}`:\n\n```json\n(.*?)^```", readme,
+                     flags=re.M | re.S).group(1)
+
+
+def test_readme_json_examples_load():
+    config = AnalysisConfig.from_json(_readme_json_block("analysis.json"))
+    assert [c.corpus_id for c in config.corpora] == ["read", "spont"]
+    assert config.comparisons == (("read", "spont"),)
+    spec = CorpusSpec.from_json(_readme_json_block("corpus.json"))
+    assert spec.corpus_id == "demo" and len(spec.cells) == 2
+
+
 def test_cli_errors(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert cli_main(["analyze", "--config", str(missing)]) == 2
@@ -854,7 +884,15 @@ def test_cli_errors(tmp_path, capsys):
     assert "ghost.ctm" in capsys.readouterr().err
 
 
-def test_cli_overrides_reflected_in_metadata(tmp_path):
+def test_cli_overrides_reflected_in_metadata(tmp_path, capsys):
+    # the config file is the one place to set an option: `analyze` takes no
+    # flag that overrides one
+    for flag in (["--outdir", "x"], ["--bin-width", "5"], ["--no-outlier-filter"],
+                 ["--speaker-from", "prefix:-"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["analyze", "--config", "cfg.json", *flag])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     spec = CorpusSpec("ovr", seed=8, cells=(
         CellSpec("a", "short", 6.0, 11.5, 60),
         CellSpec("a", "long", 7.0, 17.5, 40),
@@ -866,10 +904,9 @@ def test_cli_overrides_reflected_in_metadata(tmp_path):
         "corpora": [{"corpus_id": "ovr", "paths": [str(tmp_path / "ovr.ctm")],
                      "format": "ctm"}],
         "output_dir": str(tmp_path / "out"),
+        "bin_width_ms": 5, "outlier_filtering": False, "speaker_from": "prefix:-",
     }), encoding="utf-8")
-    assert cli_main(["analyze", "--config", str(config_path),
-                     "--bin-width", "5", "--no-outlier-filter",
-                     "--speaker-from", "prefix:-"]) == 0
+    assert cli_main(["analyze", "--config", str(config_path)]) == 0
     meta = json.loads((tmp_path / "out" / "run_metadata.json").read_text(
         encoding="utf-8"))
     assert meta["options"]["bin_width_ms"] == 5.0
@@ -906,34 +943,35 @@ def _two_corpus_config(tmp_path, **kw):
 
 
 def test_output_paths_list_the_written_files_in_order(tmp_path):
-    config = _two_corpus_config(tmp_path, output_formats=("markdown", "csv"))
+    config = _two_corpus_config(tmp_path)
     out = tmp_path / "out"
     paths = run_analysis(config).output_paths
     assert paths == [out / name for name in (
-        "corpA/features.md", "corpA/features.csv", "corpA/plot_a.csv",
-        "corpA/diagnostics.json",
-        "corpB/features.md", "corpB/features.csv", "corpB/plot_a.csv",
-        "corpB/diagnostics.json",
-        "ks_corpA_vs_corpB.csv", "run_metadata.json")]
+        "corpA/features.csv", "corpA/features.json", "corpA/features.md",
+        "corpA/plot_a.csv", "corpA/diagnostics.json",
+        "corpB/features.csv", "corpB/features.json", "corpB/features.md",
+        "corpB/plot_a.csv", "corpB/diagnostics.json",
+        "ks_corpA_vs_corpB.csv", "ks_corpA_vs_corpB.json", "run_metadata.json")]
     assert set(paths) == set(_tree(out))
 
 
 def test_run_metadata_lists_exactly_the_files_of_its_run(tmp_path):
-    config = _two_corpus_config(tmp_path, output_formats=("csv", "json", "markdown"))
+    config = _two_corpus_config(tmp_path)
     out = tmp_path / "out"
     run_analysis(config)
-    paths = run_analysis(replace(config, output_formats=("csv",))).output_paths
+    paths = run_analysis(replace(config, corpora=config.corpora[:1],
+                                 comparisons=())).output_paths
     outputs = json.loads((out / "run_metadata.json").read_text(
         encoding="utf-8"))["outputs"]
     assert list(outputs) == sorted(p.relative_to(out).as_posix()
                                    for p in paths[:-1])
     assert paths[-1] == out / "run_metadata.json"
-    # the first run's JSON and markdown files stay on disk, unlisted
+    # the first run's corpB and KS files stay on disk, unlisted
     on_disk = {p.relative_to(out).as_posix() for p in _tree(out)}
     assert on_disk - set(outputs) == {
-        "run_metadata.json", "ks_corpA_vs_corpB.json",
-        "corpA/features.json", "corpA/features.md",
-        "corpB/features.json", "corpB/features.md"}
+        "run_metadata.json", "ks_corpA_vs_corpB.csv", "ks_corpA_vs_corpB.json",
+        "corpB/features.csv", "corpB/features.json", "corpB/features.md",
+        "corpB/plot_a.csv", "corpB/diagnostics.json"}
     for name, digest in outputs.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -956,8 +994,9 @@ def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
 # run_metadata.json re-pinned when it gained its `outputs` manifest, and
 # with the plot files, diagnostics.json and the features.csv/.json files
 # when the plot grid came to end where the fits' mass does and the tables
-# gained `crossings_ms`. run_metadata.json is hashed without its
-# config_sha256 line, which covers the tmp_path paths.
+# gained `crossings_ms`; run_metadata.json again when its `options` lost
+# `output_formats` and `ks_on_filtered_durations`. run_metadata.json is
+# hashed without its config_sha256 line, which covers the tmp_path paths.
 TWO_CORPUS_PIN_SHA256 = {
     True: {
         "corpA/diagnostics.json": "b161391e5e01f473b39be9afbf18a8d18041528f74f5057920933fa4c243c48c",
@@ -972,7 +1011,7 @@ TWO_CORPUS_PIN_SHA256 = {
         "corpB/plot_a.csv": "aefbc20c0ed0e8f7408de0f19e947e57af8bc5f8bc647a16b01cca3f17b125ee",
         "ks_corpA_vs_corpB.csv": "1d78fa2f3488d2eef998ee706b8bb00d9763462c234c47cb703fc857c23666fc",
         "ks_corpA_vs_corpB.json": "8004ecfa0ecfca82933097b74ee6e8337c7670e28413942a2fee08bf1d21eea4",
-        "run_metadata.json": "94a25e94416b3f1f319ffae5aca7f553db18489d7d671dc519ec14cb26f5fe4c",
+        "run_metadata.json": "767802d1545b5ed5d167c16ad15bc33cfd72d763519ba34227d123c0c4df6632",
     },
     False: {
         "corpA/diagnostics.json": "d7f555ddc7634538023582b7a51f602c2394ea2ae85779aaa29552c3853a1d1d",
@@ -987,7 +1026,7 @@ TWO_CORPUS_PIN_SHA256 = {
         "corpB/plot_a.csv": "5cd6e4f6bf93f9e07efd07f4994b789f45035e8e3d1d5e428d96fbc8ff70c651",
         "ks_corpA_vs_corpB.csv": "2daa14954593eb62988df7a2a02830ee5aeb3a02a70d811bd1bb2190841211c4",
         "ks_corpA_vs_corpB.json": "52d66dfe93d5dde3134f51ef9ce442b644b57c85491b856cdbf1d267b1083239",
-        "run_metadata.json": "6bf30539844fa62103a9b8e7290b4b8617198f0dc06f8528babc23747d10b302",
+        "run_metadata.json": "11afe0e9f80cdae3258a03131e4f0af559d2f3f902d58c0c37d6c29cc1b8be40",
     },
 }
 
@@ -1053,7 +1092,6 @@ def test_config_from_json_rejects_a_key_given_twice(text, key):
 def test_config_from_json_checks_value_types_and_names_the_key():
     corpus = {"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}
     bad_values = [
-        ("output_formats", {"output_formats": "csv"}),
         ("comparisons", {"comparisons": [["c", "c", "c"]]}),
         ("comparisons", {"comparisons": "c"}),
         ("bin_width_ms", {"bin_width_ms": "ten"}),
@@ -1073,11 +1111,10 @@ def test_config_from_json_checks_value_types_and_names_the_key():
         assert key in str(err.value), (key, extra, str(err.value))
     config = AnalysisConfig.from_json(_config_json(
         corpora=[dict(corpus, paths="x.ctm"), dict(corpus, corpus_id="d")],
-        bin_width_ms=5, output_formats=["csv"], phone_map="m.tsv",
+        bin_width_ms=5, phone_map="m.tsv",
         speaker_from="fixed:s1", comparisons=[["c", "d"]]))
     assert config.corpora[0].paths == ("x.ctm",)
     assert config.bin_width_ms == 5.0 and isinstance(config.bin_width_ms, float)
-    assert config.output_formats == ("csv",)
     assert config.comparisons == (("c", "d"),)
     assert (config.phone_map_path, config.speaker_from) == ("m.tsv", "fixed:s1")
 
@@ -1103,12 +1140,13 @@ def test_non_finite_bin_width_is_a_config_error_naming_the_key(tmp_path, capsys)
             AnalysisConfig.from_json(_config_json(bin_width_ms=bad))
         assert "bin_width_ms" in str(err.value)
     config_path = _small_ctm_config(tmp_path)
-    for bad in ("nan", "inf"):
-        assert cli_main(["analyze", "--config", str(config_path),
-                         "--bin-width", bad]) == 2
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    for bad in (math.nan, math.inf):  # json writes NaN and Infinity
+        config_path.write_text(json.dumps(dict(config, bin_width_ms=bad)),
+                               encoding="utf-8")
+        assert cli_main(["analyze", "--config", str(config_path)]) == 2
         assert "bin_width_ms" in capsys.readouterr().err
     # a JSON integer too large for a float
-    config = json.loads(config_path.read_text(encoding="utf-8"))
     config_path.write_text(json.dumps(dict(config, bin_width_ms=10 ** 400)),
                            encoding="utf-8")
     assert cli_main(["analyze", "--config", str(config_path)]) == 2
@@ -1119,7 +1157,7 @@ def test_non_finite_bin_width_is_a_config_error_naming_the_key(tmp_path, capsys)
 
 def test_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
     corpus = {"corpus_id": "c", "paths": ["x.ctm"], "format": "ctm"}
-    for bad in ("", ".", "..", "../escape", "a/b", "a\\b", "/abs"):
+    for bad in ("", ".", "..", "../escape", "a/b", "a\\b", "/abs", "a\0b"):
         with pytest.raises(ConfigError) as err:
             AnalysisConfig.from_json(_config_json(
                 corpora=[dict(corpus, corpus_id=bad)]))
@@ -1134,7 +1172,7 @@ def test_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
 
 
 def test_synth_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
-    for bad in ("", ".", "..", "../escape", "a/b", "a\\b", "/abs"):
+    for bad in ("", ".", "..", "../escape", "a/b", "a\\b", "/abs", "a\0b"):
         with pytest.raises(ConfigError) as err:
             CorpusSpec(bad, seed=1, cells=())
         assert str(err.value) == ("config key 'corpus_id' must be one plain "
@@ -1203,22 +1241,23 @@ def test_synth_rejects_a_corpus_id_a_ctm_cannot_hold(tmp_path, capsys, corpus_id
     assert (tmp_path / "out" / corpus_id / f"{corpus_id}-0000.TextGrid").is_file()
 
 
-@pytest.mark.parametrize("corpus_id, formats, clash", [
-    ("run_metadata.json", ("csv",), True),
-    ("run_metadata.json.tmp", ("csv",), True),
-    ("ks_a_vs_b.csv", ("csv",), True),
-    ("ks_a_vs_b.csv.tmp", ("csv",), True),
-    ("ks_a_vs_b.json", ("csv", "json"), True),
-    ("ks_a_vs_b.json.tmp", ("json",), True),
-    ("ks_a_vs_b.json", ("csv",), False),  # no KS JSON is written
-    ("ks_b_vs_a.csv", ("csv",), False),  # not a configured comparison
-    ("run_metadata", ("csv",), False),
+@pytest.mark.parametrize("corpus_id, comparisons, clash", [
+    ("run_metadata.json", (), True),
+    ("run_metadata.json.tmp", (("a", "b"),), True),
+    ("ks_a_vs_b.csv", (("a", "b"),), True),
+    ("ks_a_vs_b.csv.tmp", (("a", "b"),), True),
+    ("ks_a_vs_b.json", (("a", "b"),), True),
+    ("ks_a_vs_b.json.tmp", (("a", "b"),), True),
+    ("ks_a_vs_b.json", (), False),  # no comparison, so no KS file
+    ("ks_b_vs_a.csv", (("a", "b"),), False),  # not a configured comparison
+    ("run_metadata", (("a", "b"),), False),
 ])
-def test_corpus_id_may_not_name_a_file_written_in_output_dir(corpus_id, formats, clash):
+def test_corpus_id_may_not_name_a_file_written_in_output_dir(corpus_id, comparisons,
+                                                             clash):
     make = partial(AnalysisConfig, corpora=(
         CorpusSource("a", ("x.ctm",), "ctm"), CorpusSource("b", ("y.ctm",), "ctm"),
         CorpusSource(corpus_id, ("z.ctm",), "ctm")),
-        output_dir="o", output_formats=formats, comparisons=(("a", "b"),))
+        output_dir="o", comparisons=comparisons)
     if not clash:
         assert make().corpora[2].corpus_id == corpus_id
         return
@@ -1233,6 +1272,54 @@ def test_a_corpus_named_like_the_metadata_file_writes_nothing(tmp_path, capsys):
     assert cli_main(["analyze", "--config", str(config_path)]) == 2
     assert "corpus_id" in capsys.readouterr().err
     assert not (tmp_path / "outx").exists()
+
+
+@pytest.mark.parametrize("corpus_ids, comparisons, key", [
+    (["a", "b\u0000x"], [], "corpus_id"),
+    (["a", "\u00e9" * 128], [], "corpus_id"),  # 256 bytes in UTF-8
+    (["a" * 125, "b" * 125], [["a" * 125, "b" * 125]], "comparisons"),
+], ids=["nul_in_second_corpus", "directory_256_bytes", "ks_name_266_bytes"])
+def test_names_the_run_writes_are_checked_before_it_writes(
+        tmp_path, capsys, corpus_ids, comparisons, key):
+    config_path = _small_ctm_config(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    corpus = config["corpora"][0]
+    config_path.write_text(json.dumps(dict(
+        config, corpora=[dict(corpus, corpus_id=c) for c in corpus_ids],
+        comparisons=comparisons)), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert not (tmp_path / "outx").exists()
+
+
+def test_names_up_to_the_limit_are_accepted():
+    limit = report_module.NAME_MAX_BYTES
+    assert limit == 255
+    src = partial(CorpusSource, paths=("x.ctm",), format="ctm")
+    AnalysisConfig(corpora=(src("\u00e9" * 127 + "a"),), output_dir="o")
+    # "ks_" + a + "_vs_" + b + ".json.tmp": 3 + 119 + 4 + 120 + 9 bytes
+    a, b = "a" * 119, "b" * 120
+    AnalysisConfig(corpora=(src(a), src(b)), output_dir="o", comparisons=((a, b),))
+    with pytest.raises(ConfigError) as err:
+        AnalysisConfig(corpora=(src(a), src(b + "b")), output_dir="o",
+                       comparisons=((a, b + "b"),))
+    assert "'comparisons'" in str(err.value)
+    assert f"ks_{a}_vs_{b}b.json.tmp" in str(err.value)
+
+
+def test_a_write_error_exits_1_with_a_message(tmp_path, capsys):
+    config_path = _small_ctm_config(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    blocker = tmp_path / "a_file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    config_path.write_text(json.dumps(dict(config, output_dir=str(blocker))),
+                           encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a_file" in err
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
 
 
 def _ctm(durations_by_label, utt_prefix="u"):
