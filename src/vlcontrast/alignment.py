@@ -142,10 +142,16 @@ def _json_object(text: str, where: str, types: dict, required,
 
 def _check_corpus_id(corpus_id: str) -> None:
     """A corpus id names a directory the run writes, so it must be one
-    plain path component, without the NUL no file name can hold."""
+    plain path component, without the NUL no file name can hold, that
+    encodes as UTF-8."""
     if corpus_id in ("", ".", "..") or {"/", "\\", "\0"} & set(corpus_id):
         raise ConfigError("config key 'corpus_id' must be one plain path "
                           f"component, got {corpus_id!r}")
+    try:  # fails on a lone surrogate, which JSON's "\ud800" can write
+        corpus_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError("config key 'corpus_id' must encode as UTF-8, "
+                          f"got {corpus_id!r}") from None
 
 
 def _nfc(s: str) -> str:
@@ -583,7 +589,7 @@ def _ctm_line_error(text: str) -> None:
         items.sort(key=lambda t: t[0])
         prev_end = None
         for start, dur, lineno in items:
-            if prev_end is not None and start < prev_end - 1e-9:
+            if prev_end is not None and start < prev_end - _BOUND_SLACK_S:
                 raise ParseError(
                     f"overlapping intervals in utterance {utt!r}", lineno)
             prev_end = start + dur
@@ -628,7 +634,7 @@ def _ctm_table(text: str) -> IntervalTable | None:
                                      raw_label, start, duration)
     end = table.start + table.duration
     overlap = ((table.utterance[1:] == table.utterance[:-1])
-               & (table.start[1:] < end[:-1] - 1e-9))
+               & (table.start[1:] < end[:-1] - _BOUND_SLACK_S))
     return None if overlap.any() else table
 
 

@@ -1,10 +1,11 @@
 """Per-cell duration statistics: outlier filtering and histograms.
 
-A "cell" is the set of durations of one (vowel, length) pair within one
-corpus.  All durations are milliseconds, strictly positive.
-`collect_cells` and `filter_outliers` pass a cell as a DurationSampleSet;
-past the filter a cell is its read-only float64 sample array, and
-`build_histogram` and `pooled_samples` read those arrays.
+A "cell" is the durations of one (vowel, length) pair within one corpus,
+in ascending order, so no output depends on the order of the tokens.  All
+durations are milliseconds, strictly positive.  `collect_cells` and
+`filter_outliers` pass a cell as a DurationSampleSet; past the filter a
+cell is its read-only float64 sample array, and `build_histogram` and
+`pooled_samples` read those arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import CELLS, TokenTable
+
+HISTOGRAM_BINS_MAX = 10 ** 6  # a bin width that needs more is a typo
 
 __all__ = [
     "DurationSampleSet",
@@ -29,7 +32,7 @@ class DurationSampleSet:
     """Durations of one (vowel, length) cell of one corpus, as
     `collect_cells` hands them to `filter_outliers`.
 
-    Immutable: `samples` is a read-only float64 copy of the input.
+    Immutable: `samples` is a read-only float64 copy of the input, sorted.
     """
 
     vowel_class: str
@@ -38,9 +41,10 @@ class DurationSampleSet:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.array(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError("durations must be a 1-d sequence")
+        samples = np.sort(samples)  # a copy
         if not np.isfinite(samples).all():
             raise ValueError("durations must be finite, got NaN or infinity")
         if np.any(samples <= 0.0):
@@ -57,8 +61,8 @@ def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
     """Single-pass 3-sigma rule: keep x with mean-3sd < x < mean+3sd.
 
     The bounds come from the *input* cell (sd with the n-1 denominator)
-    and the rule is not iterated.  Cells with n < 2 or zero spread are
-    returned unchanged.
+    and the rule is not iterated; on the sorted cell the kept samples are
+    one slice.  Cells with n < 2 or zero spread are returned unchanged.
     """
     samples = cell.samples
     if samples.size < 2:
@@ -67,44 +71,39 @@ def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
     sd = float(samples.std(ddof=1))
     if sd == 0.0:
         return cell
-    keep = (mean - 3.0 * sd < samples) & (samples < mean + 3.0 * sd)
-    if keep.all():
+    lo = samples.searchsorted(mean - 3.0 * sd, side="right")
+    hi = samples.searchsorted(mean + 3.0 * sd, side="left")
+    if lo == 0 and hi == samples.size:
         return cell
     return DurationSampleSet(cell.vowel_class, cell.length_class,
-                             cell.corpus_id, samples[keep])
+                             cell.corpus_id, samples[lo:hi])
 
 
 def build_histogram(samples: np.ndarray, bin_width_ms: float) -> np.ndarray:
     """Read-only counts of the samples in the bins [0, w), [w, 2w), ...
-    up to the bin holding max(samples); empty for an empty cell."""
+    up to the bin holding max(samples); empty for an empty cell.  More
+    than HISTOGRAM_BINS_MAX bins is a ValueError naming `bin_width_ms`."""
     if bin_width_ms <= 0.0:
         raise ValueError("bin width must be positive")
-    counts = np.bincount(np.floor(samples / bin_width_ms).astype(int))
+    bins = np.floor(samples / bin_width_ms)
+    if bins.size and bins.max() >= HISTOGRAM_BINS_MAX:
+        raise ValueError(f"config key 'bin_width_ms' {bin_width_ms!r} gives over "
+                         f"{HISTOGRAM_BINS_MAX} histogram bins")
+    counts = np.bincount(bins.astype(int))
     counts.flags.writeable = False
     return counts
 
 
 def collect_cells(tokens: TokenTable, corpus_id: str):
     """Group a table's vowel tokens into (vowel, length) ->
-    DurationSampleSet of the corpus `corpus_id`.
-
-    Cells come in the order of their first token and keep their tokens'
-    order: each is a slice of the duration column sorted stably by cell.
-    """
+    DurationSampleSet of the corpus `corpus_id`, in CELLS order; each
+    cell is sorted, so the same tokens in any order give the same cells."""
     codes = tokens.cell.astype(np.uint8)  # len(CELLS) < 256: a radix sort
-    order = np.argsort(codes, kind="stable")
     counts = np.bincount(codes, minlength=len(CELLS))
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    present = np.flatnonzero(counts)
-    durations = tokens.duration_ms[order]
-    cells = {}
-    # a cell's first token heads its run of the stable order
-    for code in present[np.argsort(order[starts[present]])].tolist():
-        key = CELLS[code]
-        cells[key] = DurationSampleSet(key[0], key[1], corpus_id,
-                                       durations[starts[code]:ends[code]])
-    return cells
+    groups = np.split(tokens.duration_ms[np.argsort(codes, kind="stable")],
+                      np.cumsum(counts)[:-1])
+    return {CELLS[code]: DurationSampleSet(*CELLS[code], corpus_id, groups[code])
+            for code in np.flatnonzero(counts).tolist()}
 
 
 def pooled_samples(cells, vowel_class: str,

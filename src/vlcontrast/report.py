@@ -8,8 +8,10 @@ gamma-curve figures, dip and plot-grid diagnostics, per-comparison KS
 results, and a run-metadata file that lists every other file the run
 wrote with its sha256.
 
-All outputs are deterministic: fixed vowel ordering, no timestamps, full
-float precision in CSV/JSON, and atomic write-then-rename file emission.
+All outputs are deterministic: fixed vowel ordering, cells held sorted
+(so no output depends on the order of input files or lines), no
+timestamps, full float precision in CSV/JSON, and atomic
+write-then-rename file emission.
 """
 
 from __future__ import annotations

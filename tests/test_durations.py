@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 from vlcontrast.durations import (
+    HISTOGRAM_BINS_MAX,
     DurationSampleSet,
     build_histogram,
     collect_cells,
@@ -32,7 +34,7 @@ def test_filter_bounds_use_the_n_minus_1_sd():
     assert float(np.std(c.samples, ddof=1)) == pytest.approx(6.0 * np.sqrt(3.0))
     assert filter_outliers(c) is c
     shifted = cell([50.0] * 9 + [60.0, 84.0, 50.0])  # bound 53.67 + 3 * 9.98 = 83.59
-    assert filter_outliers(shifted).samples.tolist() == [50.0] * 9 + [60.0, 50.0]
+    assert filter_outliers(shifted).samples.tolist() == [50.0] * 10 + [60.0]
 
 
 def test_sample_set_rejects_nonpositive():
@@ -57,6 +59,15 @@ def test_sample_set_is_a_read_only_1d_copy():
         c.samples[0] = 1.0
     with pytest.raises(ValueError):
         DurationSampleSet("a", "short", "t", [[70.0, 80.0]])
+
+
+def test_sample_set_holds_its_samples_sorted():
+    source = np.array([130.0, 70.0, 100.0, 70.0])
+    c = DurationSampleSet("a", "short", "t", source)
+    assert c.samples.tolist() == [70.0, 70.0, 100.0, 130.0]
+    assert source.tolist() == [130.0, 70.0, 100.0, 70.0]
+    with pytest.raises(ValueError, match="1-d"):  # checked before the sort
+        DurationSampleSet("a", "short", "t", 70.0)
 
 
 def test_summary_empty_and_singleton():
@@ -118,6 +129,53 @@ def test_filter_outliers_is_submultiset_within_bounds():
             assert mean - 3 * sd < x < mean + 3 * sd
 
 
+# Cells whose 3-sigma bound, computed exactly in any summation order, is
+# one of their samples: mean 12, sd 7, upper bound 33; and its mirror
+# 40 - x, with mean 28, sd 7, lower bound 7.  The rule drops the sample.
+ON_THE_BOUND = ([6.0] * 4 + [12.0] * 5 + [13.0] * 3 + [33.0],
+                [34.0] * 4 + [28.0] * 5 + [27.0] * 3 + [7.0])
+
+
+def _mask_rule(samples):
+    """The 3-sigma keep rule as a boolean mask over `samples`."""
+    if samples.size < 2:
+        return samples
+    mean, sd = float(samples.mean()), float(samples.std(ddof=1))
+    if sd == 0.0:
+        return samples
+    return samples[(mean - 3.0 * sd < samples) & (samples < mean + 3.0 * sd)]
+
+
+@pytest.mark.parametrize("data", ON_THE_BOUND)
+def test_a_sample_on_the_bound_is_dropped_in_any_input_order(data):
+    samples = np.array(data)
+    assert samples.std(ddof=1) == 7.0
+    (bound,) = {samples.mean() - 21.0, samples.mean() + 21.0} & set(data)
+    kept = sorted(x for x in data if x != bound)
+    for order in (data, data[::-1], np.random.default_rng(2).permutation(data)):
+        assert filter_outliers(cell(order)).samples.tolist() == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+           # ties: few distinct values, some far out
+           st.lists(st.sampled_from([0.5, 3.0, 40.0, 41.0, 55.25, 90.0, 1e4]),
+                    max_size=60),
+           st.lists(st.floats(0.01, 1e4), max_size=60),
+           st.tuples(st.sampled_from(ON_THE_BOUND),
+                     st.integers(-3, 3)).map(lambda t: [x * 2.0 ** t[1]
+                                                        for x in t[0]])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_slice_filter_keeps_what_the_mask_rule_keeps(data, seed):
+    shuffled = np.random.default_rng(seed).permutation(np.array(data, dtype=float))
+    c = cell(shuffled)
+    kept = filter_outliers(c).samples
+    # the mask over the cell, whose arithmetic (the sorted sums) it shares
+    assert kept.tolist() == sorted(_mask_rule(c.samples).tolist())
+    # and the cell, so the kept set, does not depend on the input's order
+    assert kept.tolist() == filter_outliers(cell(data)).samples.tolist()
+
+
 def test_histogram_two_points():
     counts = build_histogram(np.array([70.0, 130.0]), 10.0)
     assert counts.size == 14  # bins [0,10) .. [130,140)
@@ -150,6 +208,16 @@ def test_histogram_rejects_bad_width():
         build_histogram(np.array([1.0]), 0.0)
 
 
+def test_histogram_bin_count_is_capped_before_it_allocates():
+    top = np.array([1.0, HISTOGRAM_BINS_MAX - 0.5])  # in the last bin allowed
+    assert build_histogram(top, 1.0).size == HISTOGRAM_BINS_MAX
+    for samples, width in ((np.array([1.0, float(HISTOGRAM_BINS_MAX)]), 1.0),
+                           (np.array([300.0]), 1e-9),
+                           (np.array([300.0]), 1e-300)):
+        with pytest.raises(ValueError, match="'bin_width_ms'"):
+            build_histogram(samples, width)
+
+
 def test_histogram_matches_analytic_bin_probabilities():
     # oracle: gamma bin mass from the regularized incomplete gamma function
     k, theta, width = 4.0, 20.0, 10.0
@@ -171,3 +239,20 @@ def test_collect_cells_groups_by_vowel_and_length():
     assert cells[("a", "short")].samples.tolist() == [70.0, 75.0]
     assert cells[("a", "long")].n == 1
     assert {c.corpus_id for c in cells.values()} == {"c"}
+
+
+def test_collect_cells_do_not_depend_on_the_token_order():
+    rng = np.random.default_rng(5)
+    keys = (("u", "long"), ("i", "short"), ("a", "long"), ("a", "short"))
+    codes = np.repeat([CELLS.index(key) for key in keys], 50)
+    durations = rng.gamma(6.0, 12.0, codes.size)
+    runs = []
+    for order in (np.arange(codes.size), rng.permutation(codes.size),
+                  np.arange(codes.size)[::-1]):
+        toks = TokenTable(codes[order], durations[order], ("u1",),
+                          np.zeros(codes.size, dtype=np.intp))
+        cells = collect_cells(toks, "c")
+        assert list(cells) == [key for key in CELLS if key in keys]
+        runs.append({key: c.samples.tolist() for key, c in cells.items()})
+    assert runs[0] == runs[1] == runs[2]
+    assert all(samples == sorted(samples) for samples in runs[0].values())

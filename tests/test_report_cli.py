@@ -157,6 +157,49 @@ def test_kaldi_style_ctm_gives_the_same_outputs_on_the_column_path(
             out / "read-mimic" / name).read_bytes(), name
 
 
+def _run_metadata_without_inputs(out):
+    """run_metadata.json less what names the inputs: the config's hash
+    (which covers the paths) and each corpus's file count."""
+    meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
+    del meta["config_sha256"]
+    for counts in meta["corpora"].values():
+        del counts["files"]
+    return meta
+
+
+def test_outputs_do_not_depend_on_file_utterance_or_line_order(mimic_run, tmp_path):
+    # one corpus three ways: one CTM; one CTM per utterance, listed last
+    # utterance first; and the one CTM with its lines shuffled, which
+    # parse_ctm reads as the same intervals in another utterance order
+    _, _, out = mimic_run
+    plain = (out.parent / "read-mimic.ctm").read_text(encoding="utf-8")
+    header, *lines = plain.splitlines(keepends=True)
+    per_utt: dict[str, list[str]] = {}
+    for line in lines:
+        per_utt.setdefault(line.split()[0], []).append(line)
+    (tmp_path / "ctms").mkdir()
+    paths = [tmp_path / "ctms" / f"{utt}.ctm" for utt in reversed(per_utt)]
+    for path in paths:
+        path.write_text("".join(per_utt[path.stem]), encoding="utf-8")
+    shuffled = tmp_path / "shuffled.ctm"
+    shuffled.write_text("".join(np.random.default_rng(24).permutation(
+        [header] + lines)), encoding="utf-8")
+    names = sorted(path.relative_to(out).as_posix() for path in _tree(out))
+    assert len(names) == 12
+    for name, files in (("utts", paths), ("shuffled", [shuffled])):
+        tree = tmp_path / name
+        run_analysis(AnalysisConfig(
+            corpora=(CorpusSource("read-mimic", tuple(map(str, files)), "ctm"),),
+            output_dir=str(tree)))
+        assert sorted(path.relative_to(tree).as_posix()
+                      for path in _tree(tree)) == names
+        for rel in names:
+            if rel != "run_metadata.json":
+                assert (tree / rel).read_bytes() == (out / rel).read_bytes(), (name, rel)
+        # the manifest lists every other file's hash, so those agree too
+        assert _run_metadata_without_inputs(tree) == _run_metadata_without_inputs(out)
+
+
 def test_markdown_column_order_and_rounding(mimic_run):
     _, _, out = mimic_run
     md = (out / "read-mimic" / "features.md").read_text(encoding="utf-8")
@@ -831,11 +874,14 @@ def test_cli_analyze_writes_the_ks_files(tmp_path, capsys):
     assert exit_.value.code == 2
 
 
+def _readme():
+    return (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+
+
 def _readme_commands():
     """Every `vlcontrast ...` line of the README's sh blocks, as argv."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    blocks = re.findall(r"^```sh\n(.*?)^```", _readme(), flags=re.M | re.S)
     return [shlex.split(line, comments=True)[1:] for block in blocks
             for line in block.splitlines() if line.startswith("vlcontrast ")]
 
@@ -849,10 +895,14 @@ def test_readme_commands_parse():
 
 def _readme_json_block(name):
     """The ```json block that follows the README's `name`: line."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-        encoding="utf-8")
-    return re.search(rf"^`{re.escape(name)}`:\n\n```json\n(.*?)^```", readme,
+    return re.search(rf"^`{re.escape(name)}`:\n\n```json\n(.*?)^```", _readme(),
                      flags=re.M | re.S).group(1)
+
+
+def _readme_python_block(heading):
+    """The ```python block that opens the README's `## heading` section."""
+    return re.search(rf"^## {re.escape(heading)}\n\n```python\n(.*?)^```",
+                     _readme(), flags=re.M | re.S).group(1)
 
 
 def test_readme_json_examples_load():
@@ -861,6 +911,25 @@ def test_readme_json_examples_load():
     assert config.comparisons == (("read", "spont"),)
     spec = CorpusSpec.from_json(_readme_json_block("corpus.json"))
     assert spec.corpus_id == "demo" and len(spec.cells) == 2
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the block reads utt1.TextGrid; give it one synthetic utterance
+    spec = CorpusSpec("utt1", seed=3, cells=(
+        CellSpec("a", "short", 6.0, 11.5, 300), CellSpec("a", "long", 7.0, 17.5, 200)),
+        utterance_size=500, emit_formats=("textgrid",))
+    (tmp_path / "utt1.TextGrid").write_text(
+        generate_corpus(spec).files["utt1-0000.TextGrid"], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(_readme_python_block("Library use"), namespace)
+    mean_short, area, delta, significant = capsys.readouterr().out.split()
+    assert 60.0 < float(mean_short) < 80.0 and 0.0 < float(area) <= 1.0
+    assert float(delta) > 0.0 and significant == "True"
+    # what collect_cells and filter_outliers handed back: sorted cells
+    assert list(namespace["cells"]) == [("a", "short"), ("a", "long")]
+    for samples in namespace["cells"].values():
+        assert not samples.flags.writeable and (np.diff(samples) >= 0).all()
 
 
 def test_cli_errors(tmp_path, capsys):
@@ -995,15 +1064,17 @@ def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
 # with the plot files, diagnostics.json and the features.csv/.json files
 # when the plot grid came to end where the fits' mass does and the tables
 # gained `crossings_ms`; run_metadata.json again when its `options` lost
-# `output_formats` and `ks_on_filtered_durations`. run_metadata.json is
-# hashed without its config_sha256 line, which covers the tmp_path paths.
+# `output_formats` and `ks_on_filtered_durations`; the features.csv/.json
+# and plot files whose sums moved in their last digits when each cell came
+# to be held sorted, with run_metadata.json. run_metadata.json is hashed
+# without its config_sha256 line, which covers the tmp_path paths.
 TWO_CORPUS_PIN_SHA256 = {
     True: {
         "corpA/diagnostics.json": "b161391e5e01f473b39be9afbf18a8d18041528f74f5057920933fa4c243c48c",
-        "corpA/features.csv": "2484dc70b5326b7a86ad7432ddaaf5e4d1bb9ad7674a459ddae8f5d80ac7039a",
-        "corpA/features.json": "233e7d536dab42d2965075a52ade94849e71971e5fbd9252469a735120eab2db",
+        "corpA/features.csv": "e5492e331b0771029fc5ad4203f1e36e523caa010bec9a6165d69e5e1da46384",
+        "corpA/features.json": "a1cc2720c55dcd461e08e1262c87e94030f63d5741c36278a616fa220e9733ff",
         "corpA/features.md": "16518cf9dd40e6e6a101df974e42e68459952b93a4853dd17735a5e152e6c15a",
-        "corpA/plot_a.csv": "32ff05e7be478a9363ff70bc43aacaca33fbe753948373ad5b0a07d6cc58f894",
+        "corpA/plot_a.csv": "9679b94cc8118d45484b8fce231307013425e07334bed0e52cbc16a13df1966d",
         "corpB/diagnostics.json": "9f2eaf0deca63750c9781d8b5e3e851c24e9f8bab13c8f296e2ffbf7d935d015",
         "corpB/features.csv": "3318582a8cab44b3a1bb7ae8312d494aa3b3532e23a048dc9666e46a2a92f00c",
         "corpB/features.json": "645288a3c5850ea3942c9952392fd448d806c2d2f0aca0c4d7896acde0234756",
@@ -1011,22 +1082,22 @@ TWO_CORPUS_PIN_SHA256 = {
         "corpB/plot_a.csv": "aefbc20c0ed0e8f7408de0f19e947e57af8bc5f8bc647a16b01cca3f17b125ee",
         "ks_corpA_vs_corpB.csv": "1d78fa2f3488d2eef998ee706b8bb00d9763462c234c47cb703fc857c23666fc",
         "ks_corpA_vs_corpB.json": "8004ecfa0ecfca82933097b74ee6e8337c7670e28413942a2fee08bf1d21eea4",
-        "run_metadata.json": "767802d1545b5ed5d167c16ad15bc33cfd72d763519ba34227d123c0c4df6632",
+        "run_metadata.json": "cd99a3082f5d4ee2e879ac9a50aa7f0ef19f9b831be1da67acc271a11c68602d",
     },
     False: {
         "corpA/diagnostics.json": "d7f555ddc7634538023582b7a51f602c2394ea2ae85779aaa29552c3853a1d1d",
-        "corpA/features.csv": "090f7fe671d689e5acbd05616ae8078cd11bcaf988e7f3a7433dfdfcdd57fe8b",
-        "corpA/features.json": "1d0a98ec82c338b32f7885988122575e9988d01f83a17748ea4cf90f02fc0f8e",
+        "corpA/features.csv": "cd18479625ae7317c93fa3056d2af14e071ada343935e15d7b89a9c0ec68c029",
+        "corpA/features.json": "676131bdffabd4296eeda6008b2430213d56cdb75027d8381ee853882970fc77",
         "corpA/features.md": "4050174f781b576778f864dc5ad29b1fd0480b639ff269476ea97179ec525daa",
-        "corpA/plot_a.csv": "e807a9505ba0499fcf6c68bc6fe00a470252d77d75ddab4e2d52f008667ea6b4",
+        "corpA/plot_a.csv": "78f6f8a90b558c20ad39d72114e345ce301887621873d57efc2d36bb503ee6a3",
         "corpB/diagnostics.json": "55bb330dcef7c13a63b5d5a2b995e7e45d5c4270b4e4bf8feda597866787c07a",
-        "corpB/features.csv": "802bf8c75918d9f5b1c29116b94203838e1c0fde28a57f43d014ea33c617953c",
-        "corpB/features.json": "a39f128b056ec8bec3d80e9bfdcf90901654bcaff45fa5fdb5471a829cd217ae",
+        "corpB/features.csv": "ab6f89c8baed13e3d526a35953976f1b1819910826d8d8503dd2c53aedd9d3e0",
+        "corpB/features.json": "5730b987794df9e921438353e3b4d07c46231209f099fd0e594f0ed5d14af79f",
         "corpB/features.md": "93adf850581790b23609781604ee087490d6f0b05f2543604f66c45ef4c964ca",
-        "corpB/plot_a.csv": "5cd6e4f6bf93f9e07efd07f4994b789f45035e8e3d1d5e428d96fbc8ff70c651",
+        "corpB/plot_a.csv": "e48df1cb72f42015931ecf4a2a177110554c600c8d35b45e2e37100907ae52d2",
         "ks_corpA_vs_corpB.csv": "2daa14954593eb62988df7a2a02830ee5aeb3a02a70d811bd1bb2190841211c4",
         "ks_corpA_vs_corpB.json": "52d66dfe93d5dde3134f51ef9ce442b644b57c85491b856cdbf1d267b1083239",
-        "run_metadata.json": "11afe0e9f80cdae3258a03131e4f0af559d2f3f902d58c0c37d6c29cc1b8be40",
+        "run_metadata.json": "55a276c25484e0750ca447dadd7549ff8b385f3f729d9c07cf9dfc587a5d5c62",
     },
 }
 
@@ -1152,6 +1223,14 @@ def test_non_finite_bin_width_is_a_config_error_naming_the_key(tmp_path, capsys)
     assert cli_main(["analyze", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'bin_width_ms'" in err
+    # widths so small that the largest sample's bin index overflows an
+    # integer, or the counts would not fit in memory
+    for tiny in (1e-300, 1e-9):
+        config_path.write_text(json.dumps(dict(config, bin_width_ms=tiny)),
+                               encoding="utf-8")
+        assert cli_main(["analyze", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'bin_width_ms'" in err, tiny
     assert not (tmp_path / "outx").exists()
 
 
@@ -1184,6 +1263,25 @@ def test_synth_corpus_ids_must_be_one_plain_path_component(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert cli_main(["synth", "--spec", str(spec_path), "--outdir", str(outdir)]) == 2
     assert "corpus_id" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_a_corpus_id_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # JSON's "\ud800" escape reads as a lone surrogate, which no file name holds
+    config_path = _small_ctm_config(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["corpora"].append(dict(config["corpora"][0], corpus_id="b\ud800"))
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config key 'corpus_id' must encode as UTF-8, got 'b\\ud800'\n")
+    assert not (tmp_path / "outx").exists()
+
+
+def test_synth_corpus_id_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    assert _synth(tmp_path, {"corpus_id": "b\ud800", "cells": [_cell(3)]}) == 2
+    assert ("config key 'corpus_id' must encode as UTF-8, got 'b\\ud800'"
+            in capsys.readouterr().err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
