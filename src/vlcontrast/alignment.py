@@ -118,20 +118,40 @@ def _check_entry(entry, types: dict, required, where: str,
             raise error(f"{where}: key {key!r} must be {expected}, got {value!r}")
 
 
+def _check_utf8(text: str, key: str, noun: str, error: type[ValueError]) -> None:
+    """Reject a string with a lone surrogate, which JSON's "\\ud800" escape
+    can write and no UTF-8 file, name or message can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{noun} key {key!r} must encode as UTF-8, got {text!r}") from None
+
+
 def _json_object(text: str, where: str, types: dict, required,
                  error: type[ValueError]) -> dict:
     """Parse `text` as one JSON object and check it with `_check_entry`;
-    every mistake raises `error`, with a message that starts with `where`."""
-    def unique_keys(pairs):  # json would keep the last value of a repeated key
+    every mistake raises `error`, with a message that names the key or
+    starts with `where`."""
+    # a corpus spec's keys are config keys too, as in _check_corpus_id
+    noun = "config" if error is ConfigError else where
+
+    def checked_pairs(pairs):  # called once per JSON object, innermost first
         obj = {}
         for key, value in pairs:
-            if key in obj:
+            if key in obj:  # json would keep the last value
                 raise error(f"{where}: key {key!r} is given twice")
+            items = [key, value]  # an object in the value checked its own pairs
+            while items:
+                item = items.pop()
+                if isinstance(item, list):
+                    items += item
+                elif isinstance(item, str):
+                    _check_utf8(item, key, noun, error)
             obj[key] = value
         return obj
 
     try:  # RFC 8259 lets a parser ignore a leading byte-order mark
-        obj = json.loads(text.removeprefix("\ufeff"), object_pairs_hook=unique_keys)
+        obj = json.loads(text.removeprefix("\ufeff"), object_pairs_hook=checked_pairs)
     except error:
         raise
     except ValueError as exc:  # bad JSON, or an integer past int's digit limit
@@ -147,11 +167,7 @@ def _check_corpus_id(corpus_id: str) -> None:
     if corpus_id in ("", ".", "..") or {"/", "\\", "\0"} & set(corpus_id):
         raise ConfigError("config key 'corpus_id' must be one plain path "
                           f"component, got {corpus_id!r}")
-    try:  # fails on a lone surrogate, which JSON's "\ud800" can write
-        corpus_id.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ConfigError("config key 'corpus_id' must encode as UTF-8, "
-                          f"got {corpus_id!r}") from None
+    _check_utf8(corpus_id, "corpus_id", "config", ConfigError)
 
 
 def _nfc(s: str) -> str:

@@ -4,8 +4,8 @@ A "cell" is the durations of one (vowel, length) pair within one corpus,
 in ascending order, so no output depends on the order of the tokens.  All
 durations are milliseconds, strictly positive.  `collect_cells` and
 `filter_outliers` pass a cell as a DurationSampleSet; past the filter a
-cell is its read-only float64 sample array, and `build_histogram` and
-`pooled_samples` read those arrays.
+cell is its read-only float64 sample array, which `build_histogram`
+reads.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "filter_outliers",
     "build_histogram",
     "collect_cells",
-    "pooled_samples",
 ]
 
 
@@ -105,11 +104,3 @@ def collect_cells(tokens: TokenTable, corpus_id: str):
     return {CELLS[code]: DurationSampleSet(*CELLS[code], corpus_id, groups[code])
             for code in np.flatnonzero(counts).tolist()}
 
-
-def pooled_samples(cells, vowel_class: str,
-                   lengths=("short", "long")) -> np.ndarray:
-    """The samples of the vowel's cells in `lengths`, concatenated in that
-    order; cells absent from the (vowel, length) -> samples map add nothing."""
-    return np.concatenate([np.empty(0)] + [
-        cells[(vowel_class, length)] for length in lengths
-        if (vowel_class, length) in cells])

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alignment import CONTRASTED_VOWELS
-from .durations import pooled_samples
 from .gamma import (
     LOW_N_THRESHOLD,
     DegenerateDataError,
@@ -248,7 +247,8 @@ def compare_corpora(
 
     durations = []
     for corpus_id, cells in ((corpus_a, cells_a), (corpus_b, cells_b)):
-        pooled = pooled_samples(cells, vowel_class, lengths)
+        pooled = np.concatenate([cells.get((vowel_class, length), np.empty(0))
+                                 for length in lengths])
         if not pooled.size:
             raise ValueError(
                 f"corpus {corpus_id!r} has no tokens for cell "

@@ -48,7 +48,7 @@ from .alignment import (
     parse_textgrid,
     speaker_rule,
 )
-from .durations import build_histogram, collect_cells, filter_outliers, pooled_samples
+from .durations import build_histogram, collect_cells, filter_outliers
 from .features import VOWEL_ORDER, ContrastReport, compare_corpora, contrast_report
 from .gamma import GammaFit, gamma_cdf, gamma_pdf
 from .stattests import TestResult, dip_test
@@ -513,26 +513,6 @@ def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
     return tokens, counts
 
 
-def _corpus_reports(cells, corpus_id: str) -> list[ContrastReport]:
-    """One report per vowel with a cell; a missing cell is an empty sample."""
-    empty = np.empty(0)
-    return [contrast_report(vowel, corpus_id, cells.get((vowel, "short"), empty),
-                            cells.get((vowel, "long"), empty))
-            for vowel in VOWEL_ORDER
-            if (vowel, "short") in cells or (vowel, "long") in cells]
-
-
-def _diagnostics(cells) -> dict:
-    """Per-vowel dip statistic over the pooled (short+long) durations."""
-    out = {}
-    for vowel in VOWEL_ORDER:
-        pooled = pooled_samples(cells, vowel)
-        if pooled.size >= 4:
-            result = dip_test(pooled)
-            out[vowel] = {"dip": result.statistic, "n": result.n1}
-    return out
-
-
 def _comparison_rows(a: str, cells_a, b: str, cells_b) -> list[TestResult]:
     rows: list[TestResult] = []
     for vowel in VOWEL_ORDER:
@@ -593,22 +573,34 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
         # every output of the corpus reads this one (vowel, length) -> samples map
         cells = {key: cell.samples for key, cell in cells.items()}
         corpus_cells[source.corpus_id] = cells
-        reports = _corpus_reports(cells, source.corpus_id)
-        result.reports[source.corpus_id] = reports
         corpus_dir = out_root / source.corpus_id
-        for fmt, name in FORMAT_FILES.items():
-            if reports:
-                outputs[corpus_dir / name] = emit_table(reports, fmt)
+        # one pass per vowel with a cell: a row; a dip of the pooled cells
+        # when they hold 4 or more durations; a plot when both fits succeed
+        reports = result.reports[source.corpus_id] = []
+        dips: dict[str, dict] = {}
         plots: dict[str, dict] = {}  # vowel -> its plot grid's end and step
-        for report in reports:
+        plot_files: dict[Path, str] = {}
+        for vowel in VOWEL_ORDER:
+            if (vowel, "short") not in cells and (vowel, "long") not in cells:
+                continue
+            short, long = (cells.get((vowel, length), np.empty(0))
+                           for length in ("short", "long"))
+            report = contrast_report(vowel, source.corpus_id, short, long)
+            reports.append(report)
+            pooled = np.concatenate((short, long))
+            if pooled.size >= 4:
+                dip = dip_test(pooled)
+                dips[vowel] = {"dip": dip.statistic, "n": dip.n1}
             if report.fit_short is not None and report.fit_long is not None:
-                slug = VOWEL_SLUGS[report.vowel_class]
-                grid = plots[report.vowel_class] = {}
-                outputs[corpus_dir / f"plot_{slug}.csv"] = emit_plotdata(
-                    report, cells, config.bin_width_ms, grid)
+                grid = plots[vowel] = {}
+                plot_files[corpus_dir / f"plot_{VOWEL_SLUGS[vowel]}.csv"] = (
+                    emit_plotdata(report, cells, config.bin_width_ms, grid))
+        for fmt, name in FORMAT_FILES.items():
+            if reports:  # none when the corpus holds only schwa
+                outputs[corpus_dir / name] = emit_table(reports, fmt)
+        outputs.update(plot_files)
         outputs[corpus_dir / "diagnostics.json"] = _json_text(
-            {"corpus_id": source.corpus_id, "dip": _diagnostics(cells),
-             "plot": plots})
+            {"corpus_id": source.corpus_id, "dip": dips, "plot": plots})
 
     for a, b in config.comparisons:
         rows = _comparison_rows(a, corpus_cells[a], b, corpus_cells[b])

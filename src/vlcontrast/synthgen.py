@@ -301,9 +301,13 @@ class CorpusSpec:
         _check_corpus_id(self.corpus_id)
         if self.utterance_size < 1:
             raise ConfigError("utterance_size must be >= 1")
-        for fmt in self.emit_formats:
+        if not self.emit_formats:  # tokens_truth.csv alone is no corpus
+            raise ConfigError("config key 'emit_formats' lists no format")
+        for i, fmt in enumerate(self.emit_formats):
             if fmt not in EMIT_FORMATS:
                 raise ConfigError(f"unknown emit format {fmt!r}")
+            if fmt in self.emit_formats[:i]:
+                raise ConfigError(f"config key 'emit_formats' lists {fmt!r} twice")
         if "ctm" in self.emit_formats and (
                 self.corpus_id.split() != [self.corpus_id] or self.corpus_id[0] == "#"):
             raise ConfigError("config key 'corpus_id' must be one CTM field, without "

@@ -72,7 +72,7 @@ PACKAGE_LAYERS = {
     "gamma": set(),
     "stattests": set(),
     "durations": {"alignment"},
-    "features": {"alignment", "durations", "gamma", "stattests"},
+    "features": {"alignment", "gamma", "stattests"},
     "synthgen": {"alignment"},
     "report": {"alignment", "durations", "features", "gamma", "stattests",
                "__version__"},

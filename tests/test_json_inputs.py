@@ -92,6 +92,19 @@ CASES = {
     "map-huge": ("phone map", _edit("phone map", phones={
         "a": {"vowel": "a", "length": HUGE}}),
         f"phone map entry 'a': key 'length' must be a string, got {HUGE}"),
+    # JSON's "\ud800" escape reads as a lone surrogate, which UTF-8 cannot hold
+    "config-not-utf8": ("config", _edit("config", output_dir="o\ud800"),
+                        "config key 'output_dir' must encode as UTF-8, got 'o\\ud800'"),
+    "config-list-not-utf8": ("config", _edit(
+        "config", corpora=[CORPUS, dict(CORPUS, corpus_id="d")],
+        comparisons=[["c", "d\ud800"]]),
+        "config key 'comparisons' must encode as UTF-8, got 'd\\ud800'"),
+    "spec-not-utf8": ("corpus spec", _edit("corpus spec", emit_formats=["ctm\ud800"]),
+                      "config key 'emit_formats' must encode as UTF-8, "
+                      "got 'ctm\\ud800'"),
+    "map-not-utf8": ("phone map", _edit("phone map", phones={
+        "a\ud800": {"vowel": "a", "length": "short"}}),
+        "phone map key 'a\\ud800' must encode as UTF-8, got 'a\\ud800'"),
 }
 
 

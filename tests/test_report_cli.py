@@ -691,6 +691,36 @@ def test_vowel_level_failure_degrades_to_flagged_row(tmp_path):
     assert len(csv_text.strip().splitlines()) == 3  # header + a + o
 
 
+def test_each_vowel_gets_a_row_a_dip_and_a_plot_by_its_cells(tmp_path):
+    # a: both fits; e: a 5-token short cell only; i: 3 tokens in all; the
+    # other vowels: no tokens
+    ctm = tmp_path / "rules.ctm"
+    ctm.write_text(_ctm([("a", [50.0 + 0.5 * k for k in range(60)]),
+                         ("aa", [120.0 + k for k in range(40)]),
+                         ("e", [55.0, 60.0, 62.0, 70.0, 81.0]),
+                         ("i", [48.0, 66.0]), ("ii", [130.0])]), encoding="utf-8")
+    _run_one_corpus(tmp_path, [ctm])
+    out = tmp_path / "out" / "c"
+    table = list(csv.DictReader(io.StringIO(
+        (out / "features.csv").read_text(encoding="utf-8"))))
+    assert [(row["vowel"], row["n_short"], row["n_long"], row["error"] != "")
+            for row in table] == [("i", "2", "1", True), ("e", "5", "0", True),
+                                  ("a", "60", "40", False)]
+    diag = json.loads((out / "diagnostics.json").read_text(encoding="utf-8"))
+    assert {vowel: entry["n"] for vowel, entry in diag["dip"].items()} == {
+        "e": 5, "a": 100}
+    assert set(diag["plot"]) == {"a"}
+    assert sorted(p.name for p in out.glob("plot_*.csv")) == ["plot_a.csv"]
+
+    # schwa has cells but no row: a corpus of schwa alone writes no table
+    ctm.write_text(_ctm([("ə", [50.0, 55.0, 61.0, 70.0, 80.0])]), encoding="utf-8")
+    _run_one_corpus(tmp_path / "schwa", [ctm])
+    out = tmp_path / "schwa" / "out" / "c"
+    assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
+    assert json.loads((out / "diagnostics.json").read_text(encoding="utf-8")) == {
+        "corpus_id": "c", "dip": {}, "plot": {}}
+
+
 def _write_two_corpora(root):
     spec_a = CorpusSpec("corpA", seed=101, cells=(
         CellSpec("a", "short", 4.0, 20.0, 1000),
@@ -1282,6 +1312,58 @@ def test_synth_corpus_id_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert _synth(tmp_path, {"corpus_id": "b\ud800", "cells": [_cell(3)]}) == 2
     assert ("config key 'corpus_id' must encode as UTF-8, got 'b\\ud800'"
             in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+NOT_UTF8_EDITS = {
+    "output_dir": lambda c: dict(c, output_dir=c["output_dir"] + "\ud800"),
+    "speaker_from": lambda c: dict(c, speaker_from="fixed:\ud800"),
+    "phone_map": lambda c: dict(c, phone_map="map\ud800.json"),
+    "paths": lambda c: dict(c, corpora=[dict(
+        c["corpora"][0], paths=c["corpora"][0]["paths"] + ["x\ud800.ctm"])]),
+}
+
+
+@pytest.mark.parametrize("key", NOT_UTF8_EDITS)
+def test_a_config_string_that_is_not_utf8_is_an_error_naming_its_key(
+        tmp_path, capsys, key):
+    config_path = _small_ctm_config(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps(NOT_UTF8_EDITS[key](config)), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config key {key!r} must encode as UTF-8, got ")
+    assert not (tmp_path / "outx").exists()
+
+
+def test_a_phone_map_label_that_is_not_utf8_is_an_error_naming_it(tmp_path, capsys):
+    config_path = _small_ctm_config(tmp_path)
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    config["phone_map"] = str(tmp_path / "map.json")
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "map.json").write_text(json.dumps({"phones": {
+        "a\ud800": {"vowel": "a", "length": "short"},
+        "aa": {"vowel": "a", "length": "long"}}}), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: phone map key 'a\\ud800' must encode as UTF-8, got 'a\\ud800'\n")
+    assert not (tmp_path / "outx").exists()
+
+
+@pytest.mark.parametrize("formats, message", [
+    ([], "config key 'emit_formats' lists no format"),
+    (["ctm", "ctm"], "config key 'emit_formats' lists 'ctm' twice"),
+    (["textgrid", "ctm", "textgrid"], "config key 'emit_formats' lists 'textgrid' twice"),
+])
+def test_synth_emit_formats_name_each_format_once(tmp_path, capsys, formats, message):
+    # with no format, synth would write only tokens_truth.csv, which
+    # `analyze` cannot read
+    with pytest.raises(ConfigError) as err:
+        CorpusSpec("c", emit_formats=tuple(formats))
+    assert str(err.value) == message
+    assert _synth(tmp_path, {"corpus_id": "c", "cells": [_cell(3)],
+                             "emit_formats": formats}) == 2
+    assert message in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
