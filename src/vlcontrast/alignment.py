@@ -154,7 +154,7 @@ def _json_object(text: str, where: str, types: dict, required,
         obj = json.loads(text.removeprefix("\ufeff"), object_pairs_hook=checked_pairs)
     except error:
         raise
-    except ValueError as exc:  # bad JSON, or an integer past int's digit limit
+    except (ValueError, RecursionError) as exc:  # bad, huge or too deep JSON
         raise error(f"{where}: invalid JSON: {exc}") from None
     _check_entry(obj, types, required, where, error)
     return obj

@@ -78,19 +78,21 @@ def filter_outliers(cell: DurationSampleSet) -> DurationSampleSet:
                              cell.corpus_id, samples[lo:hi])
 
 
-def build_histogram(samples: np.ndarray, bin_width_ms: float) -> np.ndarray:
-    """Read-only counts of the samples in the bins [0, w), [w, 2w), ...
-    up to the bin holding max(samples); empty for an empty cell.  More
-    than HISTOGRAM_BINS_MAX bins is a ValueError naming `bin_width_ms`."""
+def build_histogram(samples: np.ndarray,
+                    bin_width_ms: float) -> tuple[np.ndarray, np.ndarray]:
+    """The non-empty bins [i*w, (i+1)*w) of a sorted cell, as (bin indexes
+    i ascending, the count of each); empty arrays for an empty cell.  A
+    sample x is counted in bin floor(x / w).  A bin index of
+    HISTOGRAM_BINS_MAX or more is a ValueError naming `bin_width_ms`."""
     if bin_width_ms <= 0.0:
         raise ValueError("bin width must be positive")
     bins = np.floor(samples / bin_width_ms)
-    if bins.size and bins.max() >= HISTOGRAM_BINS_MAX:
+    if bins.size and bins[-1] >= HISTOGRAM_BINS_MAX:
         raise ValueError(f"config key 'bin_width_ms' {bin_width_ms!r} gives over "
                          f"{HISTOGRAM_BINS_MAX} histogram bins")
-    counts = np.bincount(bins.astype(int))
-    counts.flags.writeable = False
-    return counts
+    # the cell is sorted, so each non-empty bin is one run of equal indexes
+    starts = np.flatnonzero(np.diff(bins, prepend=-1.0))
+    return bins[starts].astype(np.int64), np.diff(np.append(starts, bins.size))
 
 
 def collect_cells(tokens: TokenTable, corpus_id: str):

@@ -3,8 +3,8 @@
 Runs the whole pipeline over one or more corpora of alignment files and
 writes, per corpus, a contrast feature table (one row per vowel, columns
 in a fixed order: occurrence counts, means, r1, r2, area, delta, the
-density crossings), plot data sufficient to re-render histogram +
-gamma-curve figures, dip and plot-grid diagnostics, per-comparison KS
+density crossings), each vowel's duration histograms and fitted gamma
+curves, dip and plot-grid diagnostics, per-comparison KS
 results, and a run-metadata file that lists every other file the run
 wrote with its sha256.
 
@@ -63,6 +63,7 @@ __all__ = [
     "csv_text",
     "emit_table",
     "emit_plotdata",
+    "emit_histdata",
     "report_from_dict",
     "write_atomic",
 ]
@@ -144,8 +145,11 @@ class AnalysisConfig:
             _check_corpus_id(c.corpus_id)
             if c.format not in ("textgrid", "ctm"):
                 raise ConfigError(f"unknown corpus format {c.format!r}")
-            if not c.paths:
-                raise ConfigError(f"corpus {c.corpus_id!r} lists no paths")
+            if not c.paths or "" in c.paths:
+                raise ConfigError(f"config key 'paths' of corpus {c.corpus_id!r} "
+                                  "must list paths, none of them empty")
+        if not self.output_dir:
+            raise ConfigError("config key 'output_dir' is empty")
         if not (math.isfinite(self.bin_width_ms) and self.bin_width_ms > 0):
             raise ConfigError("config key 'bin_width_ms' must be a positive "
                               f"finite number, got {self.bin_width_ms!r}")
@@ -337,28 +341,17 @@ def emit_table(reports, fmt: str) -> str:
     raise ValueError(f"unknown table format {fmt!r}")
 
 
-# The row budget of a plot file, counted as the grid's rows plus one per
-# histogram bin; past it the grid's step grows from 1 ms.  Every bin row
-# is kept, so bins that alone pass it leave a grid of 0 and its end only,
-# and the file has more rows than this.
+# The most rows of a plot file; past it the grid's step grows from 1 ms.
 PLOT_ROWS_MAX = 10_000
 # The grid reaches the first whole ms where both fitted CDFs are >= 1 - this.
 PLOT_TAIL_MASS = 1e-6
 
 
-def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit, bins: int,
-                      bin_width_ms: float) -> tuple[int, int]:
-    """End and step (whole ms) of the plot grid of two fits whose larger
-    histogram has `bins` bins of width `bin_width_ms`.
-
-    The end is the first whole ms where both fitted CDFs reach
-    1 - PLOT_TAIL_MASS, or the right edge of the last bin rounded up,
-    whichever is further out, so every bin center lies on the grid.  The
-    step is the smallest whole ms that keeps the grid's rows plus one row
-    per bin within PLOT_ROWS_MAX, or that end itself when the bins leave
-    no room; the grid then ends at the first multiple of the step at or
-    past that end.
-    """
+def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit) -> tuple[int, int]:
+    """End and step (whole ms) of the plot grid of two fits: the smallest
+    step that fits 0 to the first whole ms where both fitted CDFs reach
+    1 - PLOT_TAIL_MASS in PLOT_ROWS_MAX rows, and its first multiple at or
+    past that ms."""
     def covered(ms: int) -> bool:
         return all(gamma_cdf(fit.shape, ms / fit.scale) >= 1.0 - PLOT_TAIL_MASS
                    for fit in (fit_short, fit_long))
@@ -371,47 +364,43 @@ def _plot_upper_limit(fit_short: GammaFit, fit_long: GammaFit, bins: int,
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if covered(mid) else (mid, hi)
-    end = max(hi, math.ceil(bins * bin_width_ms))
-    step = -(-end // max(PLOT_ROWS_MAX - bins - 1, 1))
-    return -(-end // step) * step, step
+    step = -(-hi // (PLOT_ROWS_MAX - 1))
+    return -(-hi // step) * step, step
 
 
-def emit_plotdata(report: ContrastReport, cells, bin_width_ms: float,
-                  grid: dict | None = None) -> str:
-    """CSV with histogram step densities and fitted curves for one vowel.
-
-    Columns: x_ms, hist_density_short, hist_density_long, pdf_short,
-    pdf_long.  x runs over the union of the bin centers of the vowel's
-    cells in the (vowel, length) -> samples map `cells` and a grid of
-    whole ms from 0 to where the fits' mass ends (`_plot_upper_limit`);
-    enough to re-render the usual histogram + density-curve figures in
-    any plotter.  A `grid` dict receives the grid's `upper_ms` and
-    `step_ms`.
-    """
+def emit_plotdata(report: ContrastReport, grid: dict | None = None) -> str:
+    """CSV of one vowel's fitted curves, x_ms,pdf_short,pdf_long, on the
+    grid of `_plot_upper_limit`, whose `upper_ms` and `step_ms` a `grid`
+    dict receives."""
     if report.fit_short is None or report.fit_long is None:
         raise ValueError(
             f"plot data needs successful fits for vowel {report.vowel_class!r}"
             + (f" ({report.error})" if report.error else ""))
-    counts = [build_histogram(cells[(report.vowel_class, length)], bin_width_ms)
-              for length in ("short", "long")]
-    upper, step = _plot_upper_limit(report.fit_short, report.fit_long,
-                                    max(c.size for c in counts), bin_width_ms)
+    upper, step = _plot_upper_limit(report.fit_short, report.fit_long)
     if grid is not None:
         grid.update(upper_ms=upper, step_ms=step)
-    xs = np.concatenate([np.arange(0, upper + 1, step).astype(np.float64)]
-                        + [(np.arange(c.size) + 0.5) * bin_width_ms for c in counts])
-    xs.sort()  # not np.unique: on floats it imports numpy.ma (13-22 ms)
-    xs = xs[np.append(True, xs[1:] != xs[:-1])]
-    # each bin's density count / (n * w), then 0 for every x past the last
-    # bin; row x reads bin floor(x / w), the bin that counts a sample at x
-    columns = [np.append(c / (c.sum() * bin_width_ms), 0.0)[
-        np.minimum(np.floor(xs / bin_width_ms), c.size).astype(np.intp)].tolist()
-        for c in counts]
     fit_s, fit_l = report.fit_short, report.fit_long
-    lines = ["x_ms,hist_density_short,hist_density_long,pdf_short,pdf_long"]
-    for x, hist_s, hist_l in zip(xs.tolist(), *columns):
-        lines.append(f"{x!r},{hist_s!r},{hist_l!r},"
-                     f"{gamma_pdf(fit_s, x)!r},{gamma_pdf(fit_l, x)!r}")
+    lines = ["x_ms,pdf_short,pdf_long"]
+    for x in map(float, range(0, upper + 1, step)):
+        lines.append(f"{x!r},{gamma_pdf(fit_s, x)!r},{gamma_pdf(fit_l, x)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def emit_histdata(short: np.ndarray, long: np.ndarray, bin_width_ms: float) -> str:
+    """CSV of one vowel's histograms, bin_start_ms,density_short,
+    density_long: a row per bin [i*w, (i+1)*w) that holds a duration of
+    either sorted cell, each density (count / n) / w."""
+    hists = [build_histogram(cell, bin_width_ms) for cell in (short, long)]
+    # not np.unique: it imports numpy.ma (13-22 ms)
+    bins = np.sort(np.concatenate([indexes for indexes, _counts in hists]))
+    bins = bins[np.diff(bins, prepend=-1) > 0]
+    densities = np.zeros((2, bins.size))
+    for row, (indexes, counts), cell in zip(densities, hists, (short, long)):
+        row[bins.searchsorted(indexes)] = counts / cell.size / bin_width_ms
+    lines = ["bin_start_ms,density_short,density_long"]
+    for x, density_s, density_l in zip((bins * bin_width_ms).tolist(),
+                                       *densities.tolist()):
+        lines.append(f"{x!r},{density_s!r},{density_l!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -492,11 +481,12 @@ def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
                              if label not in entries})
             tables.append(extract_vowel_tokens(intervals, phone_map))
     tokens = TokenTable.concat(tables)
-    if not tokens:
-        raise CorpusLoadError(
-            f"corpus {source.corpus_id!r} contains no vowel tokens "
-            f"(checked {source.paths})")
     ranked = sorted(unmapped.items(), key=lambda item: (-item[1], item[0]))
+    if not tokens:
+        named = ", ".join(f"{label!r} ({n})" for label, n in ranked[:5])
+        raise CorpusLoadError(
+            f"corpus {source.corpus_id!r} contains no vowel tokens (checked "
+            f"{source.paths}; most frequent labels: {named or 'none'})")
     per_speaker = None
     if speaker is not None:
         per_speaker = Counter()
@@ -574,12 +564,13 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
         cells = {key: cell.samples for key, cell in cells.items()}
         corpus_cells[source.corpus_id] = cells
         corpus_dir = out_root / source.corpus_id
-        # one pass per vowel with a cell: a row; a dip of the pooled cells
-        # when they hold 4 or more durations; a plot when both fits succeed
+        # one pass per vowel with a cell: a row and a histogram; a dip of
+        # the pooled cells when they hold 4 or more durations; a plot when
+        # both fits succeed
         reports = result.reports[source.corpus_id] = []
         dips: dict[str, dict] = {}
         plots: dict[str, dict] = {}  # vowel -> its plot grid's end and step
-        plot_files: dict[Path, str] = {}
+        vowel_files: dict[Path, str] = {}
         for vowel in VOWEL_ORDER:
             if (vowel, "short") not in cells and (vowel, "long") not in cells:
                 continue
@@ -587,18 +578,23 @@ def run_analysis(config: AnalysisConfig) -> RunResult:
                            for length in ("short", "long"))
             report = contrast_report(vowel, source.corpus_id, short, long)
             reports.append(report)
+            slug = VOWEL_SLUGS[vowel]
+            vowel_files[corpus_dir / f"hist_{slug}.csv"] = emit_histdata(
+                short, long, config.bin_width_ms)
             pooled = np.concatenate((short, long))
             if pooled.size >= 4:
                 dip = dip_test(pooled)
                 dips[vowel] = {"dip": dip.statistic, "n": dip.n1}
             if report.fit_short is not None and report.fit_long is not None:
                 grid = plots[vowel] = {}
-                plot_files[corpus_dir / f"plot_{VOWEL_SLUGS[vowel]}.csv"] = (
-                    emit_plotdata(report, cells, config.bin_width_ms, grid))
+                vowel_files[corpus_dir / f"plot_{slug}.csv"] = emit_plotdata(
+                    report, grid)
+        if not reports:
+            raise CorpusLoadError(f"corpus {source.corpus_id!r}: its only vowel tokens "
+                                  "are schwa (ə), which has no length contrast to report")
         for fmt, name in FORMAT_FILES.items():
-            if reports:  # none when the corpus holds only schwa
-                outputs[corpus_dir / name] = emit_table(reports, fmt)
-        outputs.update(plot_files)
+            outputs[corpus_dir / name] = emit_table(reports, fmt)
+        outputs.update(vowel_files)
         outputs[corpus_dir / "diagnostics.json"] = _json_text(
             {"corpus_id": source.corpus_id, "dip": dips, "plot": plots})
 

@@ -17,10 +17,10 @@ or the same ParseError message and line.
 `generate_corpus_scalar` is the synthetic-corpus generator made one
 xoshiro256** step, one gamma variate and one interval tuple at a time,
 which the package's block generator must equal byte for byte.
-`emit_plotdata_scalar` is the plot-file emitter made with a set-and-sort
-x grid, an upward scan for the grid's end and step, and a per-row
-step-function lookup, which the package's column emitter must equal byte
-for byte.
+`emit_plotdata_scalar` is the plot-file emitter made with an upward scan
+for the grid's end and step, and `emit_histdata_scalar` the histogram-file
+emitter made from dense bin counts with the empty rows dropped; the
+package's emitters must equal them byte for byte.
 """
 
 from __future__ import annotations
@@ -707,60 +707,44 @@ def generate_corpus_scalar(spec):
             tuple(utt_id for utt_id, _ in utterances), token_utterance)
 
 
-def _density_at(bin_width_ms: float, densities: tuple, x: float) -> float:
-    """Step-function value of a histogram's density at x (0 outside all
-    bins): the bin floor(x / w), where a sample at x is counted."""
-    if x < 0.0 or not densities:
-        return 0.0
-    idx = int(math.floor(x / bin_width_ms))
-    if idx >= len(densities):
-        return 0.0
-    return densities[idx]
-
-
-def _densities(samples, bin_width_ms: float) -> tuple:
-    """count / (n * width) per bin [0,w), [w,2w), ... covering max(samples)."""
-    if not len(samples):
-        return ()
-    nbins = int(math.floor(max(samples) / bin_width_ms)) + 1
-    idx = np.floor(np.asarray(samples) / bin_width_ms).astype(int)
-    counts = np.bincount(idx, minlength=nbins)
-    return tuple(float(d) for d in counts / (len(samples) * bin_width_ms))
-
-
-def emit_plotdata_scalar(report, cells, bin_width_ms: float, rows_max: int) -> str:
-    """The plot CSV of one vowel: x over the set of a whole-ms grid and both
-    histograms' bin centers, sorted, each row looked up one x at a time.
+def emit_plotdata_scalar(report, rows_max: int) -> str:
+    """The plot CSV of one vowel: x over a grid of whole ms, each row's
+    curves computed one x at a time.
 
     The grid ends at the first whole ms, found by counting up from 1, where
-    both fitted CDFs reach 1 - 1e-6, or at the last bin's right edge
-    rounded up if that is further; its step is the first whole ms, counting
-    up from 1, at which the grid's rows plus one row per bin fit in
-    `rows_max`, or that end itself."""
+    both fitted CDFs reach 1 - 1e-6; its step is the first whole ms,
+    counting up from 1, at which the grid's rows fit in `rows_max`, and it
+    ends at the first multiple of the step at or past that end."""
     from vlcontrast.gamma import gamma_cdf, gamma_pdf
 
-    hists = [_densities(cells[(report.vowel_class, length)], bin_width_ms)
-             for length in ("short", "long")]
-    bins = max(map(len, hists))
     end = 1
     while any(gamma_cdf(fit.shape, end / fit.scale) < 1.0 - 1e-6
               for fit in (report.fit_short, report.fit_long)):
         end += 1
-    end = max(end, math.ceil(bins * bin_width_ms))
     step = 1
-    while step < end and math.ceil(end / step) + 1 + bins > rows_max:
+    while math.ceil(end / step) + 1 > rows_max:
         step += 1
-    xs = set(float(x) for x in range(0, end + step, step))
-    for densities in hists:
-        for i in range(len(densities)):
-            xs.add((i + 0.5) * bin_width_ms)
-    lines = ["x_ms,hist_density_short,hist_density_long,pdf_short,pdf_long"]
-    for x in sorted(xs):
-        lines.append(",".join([
-            repr(x),
-            repr(_density_at(bin_width_ms, hists[0], x)),
-            repr(_density_at(bin_width_ms, hists[1], x)),
-            repr(gamma_pdf(report.fit_short, x)),
-            repr(gamma_pdf(report.fit_long, x)),
-        ]))
+    lines = ["x_ms,pdf_short,pdf_long"]
+    for x in range(0, end + step, step):
+        lines.append(",".join([repr(float(x)),
+                               repr(gamma_pdf(report.fit_short, float(x))),
+                               repr(gamma_pdf(report.fit_long, float(x)))]))
+    return "\n".join(lines) + "\n"
+
+
+def emit_histdata_scalar(short, long, bin_width_ms: float) -> str:
+    """The histogram CSV of one vowel, from dense counts over every bin
+    [i*w, (i+1)*w) up to the one that holds the longest sample, with the
+    rows where both cells count nothing dropped."""
+    nbins = max(int(math.floor(x / bin_width_ms)) + 1
+                for cell in (short, long) for x in cell)
+    counts = [np.bincount(np.floor(np.asarray(cell, dtype=float) / bin_width_ms)
+                          .astype(int), minlength=nbins).tolist()
+              for cell in (short, long)]
+    lines = ["bin_start_ms,density_short,density_long"]
+    for i in range(nbins):
+        if counts[0][i] or counts[1][i]:
+            densities = [(c[i] / len(cell)) / bin_width_ms if c[i] else 0.0
+                         for c, cell in zip(counts, (short, long))]
+            lines.append(",".join(map(repr, [i * bin_width_ms] + densities)))
     return "\n".join(lines) + "\n"

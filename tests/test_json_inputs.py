@@ -169,3 +169,20 @@ def test_the_cli_reads_json_files_saved_with_a_byte_order_mark(tmp_path, capsys)
     assert main(["analyze", "--config", str(config_path)]) == 0
     assert Path(tmp_path / "out" / "bom" / "features.csv").is_file()
     capsys.readouterr()
+
+
+def test_json_nested_past_the_recursion_limit_is_an_error(tmp_path, capsys):
+    from vlcontrast.cli import main
+
+    deep = "[" * 100_000 + "]" * 100_000
+    for reader, (load, error, _) in READERS.items():
+        with pytest.raises(error, match=f"^{reader}: invalid JSON: maximum recursion"):
+            load('{"k": ' + deep + "}")
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text('{"corpora": ' + deep + ', "output_dir": "out"}',
+                           encoding="utf-8")
+    assert main(["analyze", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: invalid JSON: maximum recursion")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

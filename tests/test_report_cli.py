@@ -7,6 +7,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -20,7 +21,7 @@ from tables import rows
 
 from vlcontrast import alignment, report as report_module, synthgen
 from vlcontrast.cli import _build_parser, main as cli_main
-from vlcontrast.durations import DurationSampleSet, build_histogram
+from vlcontrast.durations import HISTOGRAM_BINS_MAX, DurationSampleSet, build_histogram
 from vlcontrast.features import ContrastReport, contrast_report, density_crossings
 from vlcontrast.gamma import GammaFit
 from vlcontrast.report import (
@@ -30,6 +31,7 @@ from vlcontrast.report import (
     CorpusLoadError,
     CorpusSource,
     R1_UNDEFINED_MARK,
+    emit_histdata,
     emit_plotdata,
     emit_table,
     report_from_dict,
@@ -97,6 +99,7 @@ def test_mimic_output_files(mimic_run):
         assert (corpus_dir / name).is_file()
     for slug in ("i", "e", "eh", "a", "oh", "o", "u"):
         assert (corpus_dir / f"plot_{slug}.csv").is_file()
+        assert (corpus_dir / f"hist_{slug}.csv").is_file()
     assert (out / "run_metadata.json").is_file()
     meta = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))
     assert meta["tool"] == "vlcontrast"
@@ -150,8 +153,8 @@ def test_kaldi_style_ctm_gives_the_same_outputs_on_the_column_path(
         corpora=(CorpusSource("read-mimic", (str(ctm),), "ctm"),),
         output_dir=str(tmp_path / "out")))
     names = ["features.csv", "diagnostics.json"] + sorted(
-        path.name for path in (out / "read-mimic").glob("plot_*.csv"))
-    assert len(names) == 9
+        path.name for path in (out / "read-mimic").glob("*_*.csv"))
+    assert len(names) == 16
     for name in names:
         assert (tmp_path / "out" / "read-mimic" / name).read_bytes() == (
             out / "read-mimic" / name).read_bytes(), name
@@ -185,7 +188,7 @@ def test_outputs_do_not_depend_on_file_utterance_or_line_order(mimic_run, tmp_pa
     shuffled.write_text("".join(np.random.default_rng(24).permutation(
         [header] + lines)), encoding="utf-8")
     names = sorted(path.relative_to(out).as_posix() for path in _tree(out))
-    assert len(names) == 12
+    assert len(names) == 19
     for name, files in (("utts", paths), ("shuffled", [shuffled])):
         tree = tmp_path / name
         run_analysis(AnalysisConfig(
@@ -224,23 +227,38 @@ def test_diagnostics_contain_dip_per_vowel(mimic_run):
         assert entry["n"] >= 4
 
 
+def _csv_floats(path):
+    """The header and the float rows of a plot or histogram CSV."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return header, np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
 def test_plotdata_columns_and_normalization(mimic_run):
     _, result, out = mimic_run
-    text = (out / "read-mimic" / "plot_a.csv").read_text(encoding="utf-8")
-    lines = text.strip().splitlines()
-    assert lines[0] == "x_ms,hist_density_short,hist_density_long,pdf_short,pdf_long"
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    header, data = _csv_floats(out / "read-mimic" / "plot_a.csv")
+    assert header == "x_ms,pdf_short,pdf_long"
     xs = data[:, 0]
-    assert np.all(np.diff(xs) > 0)
+    assert np.all(np.diff(xs) == 1.0) and xs[0] == 0.0
     # curve columns integrate to ~1 over the emitted grid
-    for col in (3, 4):
-        assert np.trapezoid(data[:, col], xs) == pytest.approx(1.0, abs=1e-3)
-    # histogram columns are normalized step densities
     for col in (1, 2):
-        assert data[:, col].max() > 0
+        assert np.trapezoid(data[:, col], xs) == pytest.approx(1.0, abs=1e-3)
     # fitted peaks sit ~50 ms apart, like the planted generator modes
-    gap = xs[int(np.argmax(data[:, 4]))] - xs[int(np.argmax(data[:, 3]))]
+    gap = xs[int(np.argmax(data[:, 2]))] - xs[int(np.argmax(data[:, 1]))]
     assert abs(gap - 50.0) <= 3.0
+
+
+def test_histdata_columns_are_normalized_densities(mimic_run):
+    _, result, out = mimic_run
+    rep = {r.vowel_class: r for r in result.reports["read-mimic"]}["a"]
+    header, data = _csv_floats(out / "read-mimic" / "hist_a.csv")
+    assert header == "bin_start_ms,density_short,density_long"
+    starts = data[:, 0]
+    assert np.all(np.diff(starts) > 0) and np.all(starts % 10.0 == 0.0)
+    # every row holds a duration, and each column's mass sums to 1
+    assert np.all(data[:, 1:].max(axis=1) > 0)
+    for col, n in ((1, rep.n_short), (2, rep.n_long)):
+        assert data[:, col].sum() * 10.0 == pytest.approx(1.0, abs=1e-12)
+        assert _histogram_holds(data[:, col] * 10.0, n)
 
 
 def test_plotdata_identical_sets_have_equal_curves():
@@ -248,15 +266,15 @@ def test_plotdata_identical_sets_have_equal_curves():
     from vlcontrast.features import contrast_report
     from vlcontrast.synthgen import sample_gamma
 
-    draws = np.array(sample_gamma(6.0, 11.5, 300, seed=77))
+    draws = np.sort(sample_gamma(6.0, 11.5, 300, seed=77))
     kept = filter_outliers(DurationSampleSet("a", "short", "c", draws)).samples
     rep = contrast_report("a", "c", kept, kept)
-    cells = {("a", length): draws for length in ("short", "long")}
-    text = emit_plotdata(rep, cells, 10.0)
-    for line in text.strip().splitlines()[1:]:
-        _x, hs, hl, ps, pl = line.split(",")
-        assert hs == hl
+    for line in emit_plotdata(rep).strip().splitlines()[1:]:
+        _x, ps, pl = line.split(",")
         assert ps == pl
+    for line in emit_histdata(draws, draws, 10.0).strip().splitlines()[1:]:
+        _x, ds, dl = line.split(",")
+        assert ds == dl
 
 
 def test_plotdata_rejects_degenerate_report():
@@ -266,7 +284,7 @@ def test_plotdata_rejects_degenerate_report():
     short = np.array(sample_gamma(6.0, 11.5, 50, seed=78))
     rep = contrast_report("a", "c", short, np.array([120.0]))
     with pytest.raises(ValueError):
-        emit_plotdata(rep, {}, 10.0)
+        emit_plotdata(rep)
 
 
 def _report(vowel="a", **kw):
@@ -281,93 +299,76 @@ def _report(vowel="a", **kw):
     return ContrastReport(**defaults)
 
 
-def _plot_columns(text):
-    """x -> (hist_density_short, hist_density_long) text of a plot CSV."""
-    columns = {}
-    for line in text.splitlines()[1:]:
-        x, hist_s, hist_l, _pdf_s, _pdf_l = line.split(",")
-        columns[float(x)] = (hist_s, hist_l)
-    return columns
+def test_histdata_rows_are_the_non_empty_bins():
+    short, long = np.array([70.0, 71.0, 130.0, 139.9]), np.array([135.0, 300.0])
+    # 70.0 opens the bin [70, 80): 2 / 4 / 10; no row for an empty bin
+    assert emit_histdata(short, long, 10.0) == (
+        "bin_start_ms,density_short,density_long\n"
+        "70.0,0.05,0.0\n130.0,0.05,0.05\n300.0,0.0,0.05\n")
+    # a vowel with one cell has a column of zeros for the other
+    assert emit_histdata(short[:1], np.empty(0), 10.0) == (
+        "bin_start_ms,density_short,density_long\n70.0,0.1,0.0\n")
 
 
-def test_plotdata_histogram_columns_are_step_densities():
-    cells = {("a", "short"): np.array([70.0, 130.0]), ("a", "long"): np.array([300.0])}
-    columns = _plot_columns(emit_plotdata(_report(), cells, 10.0))
-    # 70.0 opens the bin [70, 80): 1 / (2 * 10)
-    assert columns[70.0][0] == "0.05" and columns[75.0][0] == "0.05"
-    # the rows of [60, 70) read 0; the grid is whole ms and bin centers, so
-    # 69.0 is its last point below the edge at 70
-    assert max(x for x in columns if x < 70.0) == 69.0
-    assert {columns[x][0] for x in columns if 60.0 <= x < 70.0} == {"0.0"}
-    assert columns[135.0][0] == "0.05"
-    # every x past the cell's last bin [130, 140) reads 0, on each whole ms
-    # up to the grid end
-    past = sorted(x for x in columns if x >= 140.0)
-    assert past == [float(x) for x in range(140, int(max(columns)) + 1)]
-    assert {columns[x][0] for x in past} == {"0.0"}
-    assert {columns[x][1] for x in columns if x >= 310.0} == {"0.0"}
-    assert columns[305.0][1] == "0.1"
-
-
-def test_plot_row_reads_the_bin_that_counts_it():
+def test_hist_bin_is_the_one_that_counts_it():
     # 7.0 / 0.1 rounds to 70.0, but 7.0 // 0.1 is 69.0: the samples are
-    # counted in bin 70, [7.0, 7.1), so row 7.0 must read that bin
-    cells = {("a", "short"): np.full(4, 7.0), ("a", "long"): np.array([300.0])}
-    assert build_histogram(cells[("a", "short")], 0.1)[70] == 4
-    text = emit_plotdata(_report(), cells, 0.1)
-    columns = _plot_columns(text)
-    assert columns[7.0][0] == repr(4 / (4 * 0.1))
-    assert columns[69.5 * 0.1][0] == "0.0"
-    assert text == oracles.emit_plotdata_scalar(_report(), cells, 0.1, PLOT_ROWS_MAX)
+    # counted in bin 70, whose start is 70 * 0.1
+    short, long = np.full(4, 7.0), np.array([300.0])
+    indexes, counts = build_histogram(short, 0.1)
+    assert indexes.tolist() == [70] and counts.tolist() == [4]
+    text = emit_histdata(short, long, 0.1)
+    assert text.splitlines()[1] == f"{70 * 0.1!r},{4 / 4 / 0.1!r},0.0"
+    assert text == oracles.emit_histdata_scalar(short, long, 0.1)
 
 
 def _positive_samples(width):
-    """Durations in ms, many of them on a bin edge k * width or just below one."""
+    """Sorted durations in ms, many of them on a bin edge k * width or just
+    below one, all in the first HISTOGRAM_BINS_MAX bins."""
     edges = st.integers(1, 300).map(lambda k: k * width)
+    top = min(400.0, width * (HISTOGRAM_BINS_MAX - 1))
     return st.lists(edges | edges.map(lambda x: math.nextafter(x, 0.0))
-                    | st.floats(0.01, 400.0), min_size=1, max_size=40)
+                    | st.floats(0.01, top), min_size=1, max_size=40).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_histdata_equals_the_scalar_referee(data):
+    width = data.draw(st.sampled_from((0.1, 7.3, 2.5, 10.0, 1e-4, 1e300))
+                      | st.floats(-4.0, 300.0).map(lambda e: 10.0 ** e), "width")
+    short = np.array(data.draw(_positive_samples(width), "short"))
+    long = np.array(data.draw(_positive_samples(width) | st.just([]), "long"))
+    text = emit_histdata(short, long, width)
+    assert text == oracles.emit_histdata_scalar(short, long, width)
+    assert text.count("\n") - 1 <= short.size + long.size
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_plotdata_equals_the_scalar_referee(data):
-    width = data.draw(st.sampled_from((0.1, 7.3, 2.5, 10.0))
-                      | st.floats(0.05, 40.0), "width")
     fits = [GammaFit(data.draw(st.floats(0.5, 30.0), f"shape_{length}"),
                      data.draw(st.floats(0.5, 8.0), f"scale_{length}"))
             for length in ("short", "long")]
-    cells = {("a", length): np.array(data.draw(_positive_samples(width), length))
-             for length in ("short", "long")}
     rep = _report(fit_short=fits[0], fit_long=fits[1])
     # a small cap makes the grid step past 1 ms, or leaves only its two ends
     rows_max = data.draw(st.just(PLOT_ROWS_MAX) | st.integers(2, 600), "rows_max")
     with mock.patch.object(report_module, "PLOT_ROWS_MAX", rows_max):
-        text = emit_plotdata(rep, cells, width)
-    assert text == oracles.emit_plotdata_scalar(rep, cells, width, rows_max)
+        text = emit_plotdata(rep)
+    assert text == oracles.emit_plotdata_scalar(rep, rows_max)
+    assert text.count("\n") - 1 <= rows_max
 
 
 def test_plot_grid_step_is_the_smallest_that_fits_each_cap():
-    # a grid end near 220 ms and 7 bins, against every cap up to a 1 ms step
+    # a grid end near 220 ms, against every cap up to a 1 ms step
     rep = _report(fit_short=GammaFit(6.0, 5.0), fit_long=GammaFit(7.0, 8.0))
-    cells = {("a", "short"): np.array([30.0, 40.0]), ("a", "long"): np.array([60.0])}
     steps = []
     for rows_max in range(2, 240):
         grid = {}
         with mock.patch.object(report_module, "PLOT_ROWS_MAX", rows_max):
-            text = emit_plotdata(rep, cells, 10.0, grid)
-        assert text == oracles.emit_plotdata_scalar(rep, cells, 10.0, rows_max)
+            text = emit_plotdata(rep, grid)
+        assert text == oracles.emit_plotdata_scalar(rep, rows_max)
+        assert text.count("\n") - 1 <= rows_max
         steps.append(grid["step_ms"])
-    assert steps[-1] == 1 and max(steps) == grid["upper_ms"] > 200
-    # at the module's cap, 0.02 ms bins that alone pass it are all kept: the
-    # grid is then only its two ends, and the file has more rows than the cap
-    cells[("a", "long")] = np.array([60.0, 250.0])
-    bins = build_histogram(cells[("a", "long")], 0.02).size
-    assert bins > PLOT_ROWS_MAX
-    grid = {}
-    text = emit_plotdata(rep, cells, 0.02, grid)
-    assert grid["step_ms"] == grid["upper_ms"] == math.ceil(bins * 0.02)
-    assert text.count("\n") - 1 == bins + 2 > PLOT_ROWS_MAX
-    assert text == oracles.emit_plotdata_scalar(rep, cells, 0.02, PLOT_ROWS_MAX)
+    assert steps[0] == grid["upper_ms"] > 200 and steps[-1] == 1
 
 
 def test_plot_grid_of_a_heavy_tailed_cell_stays_within_the_cap(tmp_path):
@@ -391,16 +392,49 @@ def test_plot_grid_of_a_heavy_tailed_cell_stays_within_the_cap(tmp_path):
     assert len(xs) <= PLOT_ROWS_MAX
     assert grid["step_ms"] > 1 and grid["upper_ms"] % grid["step_ms"] == 0
     assert max(xs) == grid["upper_ms"] > 150_000
-    # the fit the cell was drawn from, with 4,001 bins of 10 ms, against
-    # the referee's own scan for the grid's end and step
+    # the fit the cell was drawn from, against the referee's own scan for
+    # the grid's end and step
     rep = _report(fit_long=GammaFit(0.34, 20_800.0))
-    cells = {("a", "short"): np.array([70.0, 80.0]),
-             ("a", "long"): np.array([50.0, 40_000.0])}
     grid = {}
-    text = emit_plotdata(rep, cells, 10.0, grid)
+    text = emit_plotdata(rep, grid)
     assert text.count("\n") - 1 <= PLOT_ROWS_MAX
     assert grid["step_ms"] > 1
-    assert text == oracles.emit_plotdata_scalar(rep, cells, 10.0, PLOT_ROWS_MAX)
+    assert text == oracles.emit_plotdata_scalar(rep, PLOT_ROWS_MAX)
+
+
+def _probe_run(tmp_path, bin_width_ms):
+    """A 200-token /a/ corpus analysed with `bin_width_ms`: the rows of
+    its plot and histogram files."""
+    spec = CorpusSpec("p", seed=3, cells=(CellSpec("a", "short", 6.0, 11.5, 120),
+                                          CellSpec("a", "long", 7.0, 17.5, 80)),
+                      emit_formats=("ctm",))
+    tmp_path.mkdir(exist_ok=True)
+    ctm = tmp_path / "p.ctm"
+    ctm.write_text(generate_corpus(spec).files["p.ctm"], encoding="utf-8")
+    out = tmp_path / "out"
+    run_analysis(AnalysisConfig(corpora=(CorpusSource("p", (str(ctm),), "ctm"),),
+                                output_dir=str(out), bin_width_ms=bin_width_ms))
+    return [_csv_floats(out / "p" / f"{kind}_a.csv")[1] for kind in ("plot", "hist")]
+
+
+def test_a_fine_bin_width_gives_a_row_per_filled_bin_only(tmp_path):
+    plot, hist = _probe_run(tmp_path, 0.0005)
+    assert len(plot) <= PLOT_ROWS_MAX and len(hist) <= 200
+    assert np.isfinite(hist).all()
+
+
+def test_a_bin_wider_than_every_duration_is_one_row(tmp_path):
+    plot, hist = _probe_run(tmp_path, 1e12)
+    assert hist.tolist() == [[0.0, 1e-12, 1e-12]]
+    # the curves do not depend on the bin width
+    assert np.array_equal(plot, _probe_run(tmp_path / "w10", 10.0)[0])
+
+
+def test_the_widest_bin_width_gives_finite_densities_and_no_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _plot, hist = _probe_run(tmp_path, 1e308)
+    assert hist.tolist() == [[0.0, 1e-308, 1e-308]]
 
 
 def test_features_csv_quotes_an_error_that_holds_commas():
@@ -580,6 +614,58 @@ def test_corpus_without_vowels_or_matching_files_is_a_corpus_error(tmp_path):
     assert f"no ctm files under {other}" in str(err.value)
 
 
+
+def test_no_vowel_tokens_error_names_the_most_frequent_labels(tmp_path):
+    # Kaldi's position-marked labels, which the default phone map lacks
+    ctm = tmp_path / "k.ctm"
+    ctm.write_text(_ctm([("a_B", [50.0, 60.0]), ("aa_E", [120.0, 130.0, 125.0]),
+                         ("sil", [100.0])]), encoding="utf-8")
+    with pytest.raises(CorpusLoadError) as err:
+        _run_one_corpus(tmp_path, [ctm])
+    assert str(err.value) == (
+        f"corpus 'c' contains no vowel tokens (checked {(str(ctm),)}; most "
+        "frequent labels: 'aa_E' (3), 'a_B' (2), 'sil' (1))")
+
+
+def test_a_corpus_of_schwa_alone_is_a_load_error(tmp_path, capsys):
+    # schwa has cells but no contrast row, so such a run would report nothing
+    ctm = tmp_path / "schwa.ctm"
+    ctm.write_text(_ctm([("ə", [50.0, 55.0, 61.0, 70.0, 80.0])]), encoding="utf-8")
+    with pytest.raises(CorpusLoadError, match="only vowel tokens are schwa"):
+        _run_one_corpus(tmp_path, [ctm])
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"corpus_id": "c", "paths": [str(ctm)], "format": "ctm"}],
+        "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: corpus 'c': its only vowel tokens are schwa (ə), which has no "
+        "length contrast to report\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("paths", "", "config key 'paths' of corpus 'c' must list paths, none of "
+     "them empty"),
+    ("paths", ["a.ctm", ""], "config key 'paths' of corpus 'c' must list paths, "
+     "none of them empty"),
+    ("output_dir", "", "config key 'output_dir' is empty"),
+], ids=["paths", "paths-item", "output_dir"])
+def test_an_empty_path_is_a_config_error_naming_its_key(
+        tmp_path, monkeypatch, capsys, key, value, message):
+    # "" would read every .ctm file, or write the tree, in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.ctm").write_text(_ctm([("a", [50.0, 60.0]), ("aa", [120.0])]),
+                                    encoding="utf-8")
+    corpus = {"corpus_id": "c", "paths": ["a.ctm"], "format": "ctm"}
+    config = {"corpora": [corpus], "output_dir": "out"}
+    (corpus if key == "paths" else config)[key] = value
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_main(["analyze", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ctm", "cfg.json"]
+
 def test_configured_phone_map_relabels_the_corpus(tmp_path):
     spec = CorpusSpec("small", seed=8, cells=(
         CellSpec("a", "short", 6.0, 11.5, 60),
@@ -711,14 +797,9 @@ def test_each_vowel_gets_a_row_a_dip_and_a_plot_by_its_cells(tmp_path):
         "e": 5, "a": 100}
     assert set(diag["plot"]) == {"a"}
     assert sorted(p.name for p in out.glob("plot_*.csv")) == ["plot_a.csv"]
-
-    # schwa has cells but no row: a corpus of schwa alone writes no table
-    ctm.write_text(_ctm([("ə", [50.0, 55.0, 61.0, 70.0, 80.0])]), encoding="utf-8")
-    _run_one_corpus(tmp_path / "schwa", [ctm])
-    out = tmp_path / "schwa" / "out" / "c"
-    assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
-    assert json.loads((out / "diagnostics.json").read_text(encoding="utf-8")) == {
-        "corpus_id": "c", "dip": {}, "plot": {}}
+    # every vowel with a row gets a histogram
+    assert sorted(p.name for p in out.glob("hist_*.csv")) == [
+        "hist_a.csv", "hist_e.csv", "hist_i.csv"]
 
 
 def _write_two_corpora(root):
@@ -1047,9 +1128,9 @@ def test_output_paths_list_the_written_files_in_order(tmp_path):
     paths = run_analysis(config).output_paths
     assert paths == [out / name for name in (
         "corpA/features.csv", "corpA/features.json", "corpA/features.md",
-        "corpA/plot_a.csv", "corpA/diagnostics.json",
+        "corpA/hist_a.csv", "corpA/plot_a.csv", "corpA/diagnostics.json",
         "corpB/features.csv", "corpB/features.json", "corpB/features.md",
-        "corpB/plot_a.csv", "corpB/diagnostics.json",
+        "corpB/hist_a.csv", "corpB/plot_a.csv", "corpB/diagnostics.json",
         "ks_corpA_vs_corpB.csv", "ks_corpA_vs_corpB.json", "run_metadata.json")]
     assert set(paths) == set(_tree(out))
 
@@ -1070,7 +1151,7 @@ def test_run_metadata_lists_exactly_the_files_of_its_run(tmp_path):
     assert on_disk - set(outputs) == {
         "run_metadata.json", "ks_corpA_vs_corpB.csv", "ks_corpA_vs_corpB.json",
         "corpB/features.csv", "corpB/features.json", "corpB/features.md",
-        "corpB/plot_a.csv", "corpB/diagnostics.json"}
+        "corpB/hist_a.csv", "corpB/plot_a.csv", "corpB/diagnostics.json"}
     for name, digest in outputs.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
@@ -1096,38 +1177,45 @@ def test_a_failed_run_leaves_the_previous_tree_as_it_was(tmp_path):
 # gained `crossings_ms`; run_metadata.json again when its `options` lost
 # `output_formats` and `ks_on_filtered_durations`; the features.csv/.json
 # and plot files whose sums moved in their last digits when each cell came
-# to be held sorted, with run_metadata.json. run_metadata.json is hashed
-# without its config_sha256 line, which covers the tmp_path paths.
+# to be held sorted, with run_metadata.json; the plot files and
+# run_metadata.json, with the new hist files, when a plot file came to hold
+# only the curves and the histograms moved to hist_<v>.csv.
+# run_metadata.json is hashed without its config_sha256 line, which covers
+# the tmp_path paths.
 TWO_CORPUS_PIN_SHA256 = {
     True: {
         "corpA/diagnostics.json": "b161391e5e01f473b39be9afbf18a8d18041528f74f5057920933fa4c243c48c",
         "corpA/features.csv": "e5492e331b0771029fc5ad4203f1e36e523caa010bec9a6165d69e5e1da46384",
         "corpA/features.json": "a1cc2720c55dcd461e08e1262c87e94030f63d5741c36278a616fa220e9733ff",
         "corpA/features.md": "16518cf9dd40e6e6a101df974e42e68459952b93a4853dd17735a5e152e6c15a",
-        "corpA/plot_a.csv": "9679b94cc8118d45484b8fce231307013425e07334bed0e52cbc16a13df1966d",
+        "corpA/hist_a.csv": "e4f97ec4eeaab4566e9ec2aaf370a4daf60c13f3c319c7d0f811ec7ae491e555",
+        "corpA/plot_a.csv": "94a51a58e5626530bc25a83e97de0b773e598d5063b6b8f4894d994883a2655f",
         "corpB/diagnostics.json": "9f2eaf0deca63750c9781d8b5e3e851c24e9f8bab13c8f296e2ffbf7d935d015",
         "corpB/features.csv": "3318582a8cab44b3a1bb7ae8312d494aa3b3532e23a048dc9666e46a2a92f00c",
         "corpB/features.json": "645288a3c5850ea3942c9952392fd448d806c2d2f0aca0c4d7896acde0234756",
         "corpB/features.md": "833edfd3562884fc24a50da8da17f3bd6fc1144456625b24ec1cec82f6097403",
-        "corpB/plot_a.csv": "aefbc20c0ed0e8f7408de0f19e947e57af8bc5f8bc647a16b01cca3f17b125ee",
+        "corpB/hist_a.csv": "20835fa72f1bdba1aff22d2702ff1051aa35a44dd8a326dc182ac9cde074b77c",
+        "corpB/plot_a.csv": "04b422698f843f94eb7f63cfe070737d88204730f3ce39536c781418363d13b5",
         "ks_corpA_vs_corpB.csv": "1d78fa2f3488d2eef998ee706b8bb00d9763462c234c47cb703fc857c23666fc",
         "ks_corpA_vs_corpB.json": "8004ecfa0ecfca82933097b74ee6e8337c7670e28413942a2fee08bf1d21eea4",
-        "run_metadata.json": "cd99a3082f5d4ee2e879ac9a50aa7f0ef19f9b831be1da67acc271a11c68602d",
+        "run_metadata.json": "b8f5977ed2f6c04d8f7ac1279d52fbf059bc730a7dafb6fd158d0c328dd8542f",
     },
     False: {
         "corpA/diagnostics.json": "d7f555ddc7634538023582b7a51f602c2394ea2ae85779aaa29552c3853a1d1d",
         "corpA/features.csv": "cd18479625ae7317c93fa3056d2af14e071ada343935e15d7b89a9c0ec68c029",
         "corpA/features.json": "676131bdffabd4296eeda6008b2430213d56cdb75027d8381ee853882970fc77",
         "corpA/features.md": "4050174f781b576778f864dc5ad29b1fd0480b639ff269476ea97179ec525daa",
-        "corpA/plot_a.csv": "78f6f8a90b558c20ad39d72114e345ce301887621873d57efc2d36bb503ee6a3",
+        "corpA/hist_a.csv": "0c38807a2639aa235ae9b261d9794f4a66cc5cd29337ec519f199eb36e6c40f5",
+        "corpA/plot_a.csv": "8604c9b280f2ca4d78a6c89f0832d689c9424d9b4a4ee511394f11720f7cebba",
         "corpB/diagnostics.json": "55bb330dcef7c13a63b5d5a2b995e7e45d5c4270b4e4bf8feda597866787c07a",
         "corpB/features.csv": "ab6f89c8baed13e3d526a35953976f1b1819910826d8d8503dd2c53aedd9d3e0",
         "corpB/features.json": "5730b987794df9e921438353e3b4d07c46231209f099fd0e594f0ed5d14af79f",
         "corpB/features.md": "93adf850581790b23609781604ee087490d6f0b05f2543604f66c45ef4c964ca",
-        "corpB/plot_a.csv": "e48df1cb72f42015931ecf4a2a177110554c600c8d35b45e2e37100907ae52d2",
+        "corpB/hist_a.csv": "a278e716ca64c11e1beff689eaefb31d0e13f383430c532f63676a5474e3c043",
+        "corpB/plot_a.csv": "5a8590d693ff27232daa650bd285a11a3bdd6a422909bbd25b45006a26c07046",
         "ks_corpA_vs_corpB.csv": "2daa14954593eb62988df7a2a02830ee5aeb3a02a70d811bd1bb2190841211c4",
         "ks_corpA_vs_corpB.json": "52d66dfe93d5dde3134f51ef9ce442b644b57c85491b856cdbf1d267b1083239",
-        "run_metadata.json": "55a276c25484e0750ca447dadd7549ff8b385f3f729d9c07cf9dfc587a5d5c62",
+        "run_metadata.json": "cbd143bccd53917d1124d2ca419b3a8b4669f5d6afbf851139d56ee156115e08",
     },
 }
 
@@ -1601,14 +1689,11 @@ def _single_table_run(tmp_path, monkeypatch, outlier_filtering):
 
 
 def _output_counts(out, bin_width_ms=10.0):
-    """n_short, plot-histogram counts, dip n and KS n_a for vowel a of A."""
+    """n_short, short-histogram masses, dip n and KS n_a for vowel a of A."""
     features = json.loads((out / "A" / "features.json").read_text(
         encoding="utf-8"))
     n_short = features["reports"][0]["n_short"]
-    rows = [line.split(",") for line in (out / "A" / "plot_a.csv").read_text(
-        encoding="utf-8").strip().splitlines()[1:]]
-    hist = [float(r[1]) * bin_width_ms for r in rows
-            if float(r[0]) % bin_width_ms == bin_width_ms / 2]
+    hist = (_csv_floats(out / "A" / "hist_a.csv")[1][:, 1] * bin_width_ms).tolist()
     dip = json.loads((out / "A" / "diagnostics.json").read_text(
         encoding="utf-8"))["dip"]["a"]["n"]
     ks = json.loads((out / "ks_A_vs_B.json").read_text(encoding="utf-8"))
