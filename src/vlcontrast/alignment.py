@@ -22,7 +22,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import chain, compress, product
+from itertools import chain, compress, count, islice, product
+from operator import lt, sub
 from typing import Callable
 
 import numpy as np
@@ -201,10 +202,12 @@ class IntervalTable:
         """Table of utterance and raw-label codes into the distinct
         `utterance_ids` and `raw_labels`; each raw label is NFC-normalized
         once, and raw labels that normalize alike share a code."""
-        labels: dict[str, int] = {}
-        label = _code(labels, [_nfc(raw) for raw in raw_labels])
-        return cls(tuple(utterance_ids), utterance, tuple(labels),
-                   label[raw_label], np.asarray(start, dtype=np.float64),
+        normal = [_nfc(raw) for raw in raw_labels]
+        labels = tuple(dict.fromkeys(normal))
+        if len(labels) < len(normal):  # two raw labels normalize alike
+            raw_label = _code({}, normal)[raw_label]
+        return cls(tuple(utterance_ids), utterance, labels, raw_label,
+                   np.asarray(start, dtype=np.float64),
                    np.asarray(duration, dtype=np.float64))
 
     @classmethod
@@ -216,6 +219,30 @@ class IntervalTable:
         raw_label = _code(raw_labels, labels)
         return cls.from_codes(utterances, utterance, raw_labels, raw_label,
                               start, duration)
+
+    @classmethod
+    def concat(cls, tables) -> "IntervalTable":
+        """The rows of `tables` one table after another; a lone table is
+        returned as it is.  Equal utterance ids, or labels, of different
+        tables share a code."""
+        if len(tables) == 1:
+            return tables[0]
+        sizes = [len(t) for t in tables]
+
+        def recoded(names, codes) -> tuple[tuple[str, ...], np.ndarray]:
+            # each table's codes, moved past the names of the tables before it
+            offsets = np.cumsum([0] + list(map(len, names)))[:-1]
+            index: dict[str, int] = {}
+            code = _code(index, list(chain.from_iterable(names)))
+            return tuple(index), code[np.concatenate([np.empty(0, np.intp)] + codes)
+                                      + np.repeat(offsets, sizes)]
+
+        utterance_ids, utterance = recoded([t.utterance_ids for t in tables],
+                                           [t.utterance for t in tables])
+        labels, label = recoded([t.labels for t in tables], [t.label for t in tables])
+        return cls(utterance_ids, utterance, labels, label,
+                   np.concatenate([np.empty(0)] + [t.start for t in tables]),
+                   np.concatenate([np.empty(0)] + [t.duration for t in tables]))
 
     def __len__(self) -> int:
         return len(self.start)
@@ -235,17 +262,6 @@ class TokenTable:
     duration_ms: np.ndarray
     utterance_ids: tuple[str, ...]
     utterance: np.ndarray
-
-    @classmethod
-    def concat(cls, tables) -> "TokenTable":
-        """The tables' rows one table after another."""
-        offsets = np.cumsum([0] + [len(t.utterance_ids) for t in tables])
-        return cls(
-            np.concatenate([np.empty(0, np.intp)] + [t.cell for t in tables]),
-            np.concatenate([np.empty(0)] + [t.duration_ms for t in tables]),
-            tuple(chain.from_iterable(t.utterance_ids for t in tables)),
-            np.concatenate([np.empty(0, np.intp)] + [
-                t.utterance + offset for t, offset in zip(tables, offsets)]))
 
     def __len__(self) -> int:
         return len(self.duration_ms)
@@ -332,16 +348,14 @@ def load_phone_map(text: str) -> PhoneMap:
 # How far (s) an interval may start before the end of the one it follows,
 # or a tier or interval reach past the bounds that hold it: rounding slack.
 _BOUND_SLACK_S = 1e-9
+# Longest span, in ms, whose times stay exact integers in int64 and float64
+# (2^52 units of 0.1 ms, about 14,000 years).  An alignment time or
+# duration further than this from 0 is a ParseError.
+_MAX_SPAN_MS = 2.0 ** 52 / 10
+_MAX_SPAN_S = _MAX_SPAN_MS / 1000
 _ITEM_RE = re.compile(r'^\s*(item|intervals|points)\s*\[\s*\d*\s*\]\s*:\s*$')
 _ITEMS_RE = re.compile(r'^\s*item\s*\[\s*\]\s*:\s*$')  # "item []:", no number
 _SIZE_RE = re.compile(r'^\s*(intervals|points)\s*:\s*size\s*=\s*(.*?)\s*$')
-
-
-def _unquote(value: str, lineno: int) -> str:
-    value = value.strip()
-    if len(value) < 2 or not value.startswith('"') or not value.endswith('"'):
-        raise ParseError(f"expected quoted string, got {value!r}", lineno)
-    return value[1:-1].replace('""', '"')
 
 
 def _parse_number(value: str, lineno: int, what: str) -> float:
@@ -352,6 +366,11 @@ def _parse_number(value: str, lineno: int, what: str) -> float:
     if not math.isfinite(number):
         raise ParseError(f"non-finite {what}: {value!r}", lineno)
     return number
+
+
+def _span_message(what: str, value: str) -> str:
+    return (f"{what} {value} is more than {_MAX_SPAN_S:.0f} s "
+            "(about 14,000 years) from 0")
 
 
 def _parse_count(value: str, lineno: int, what: str) -> int:
@@ -365,9 +384,73 @@ def _decimal_difference(lo_text: str, hi_text: str) -> float:
     """hi - lo computed on the decimal strings, so that a boundary pair
     like (20.1234, 20.1407) yields exactly the double nearest to 0.0173,
     matching formats that carry the duration directly.  Both strings have
-    passed `_parse_number`, and `Decimal` accepts every finite string that
-    `float` does."""
+    been read as finite times, and `Decimal` accepts every finite string
+    that `float` does."""
     return float(Decimal(hi_text) - Decimal(lo_text))
+
+
+def _column_values(joined: str, prefix: str, n: int) -> list[str] | None:
+    """What follows `prefix` on each of the `n` lines of `joined`, or None
+    unless every line starts with it.  No line holds a line break, so
+    "\n" + `prefix` is found only where a line starts."""
+    if not joined.startswith(prefix):
+        return None
+    values = joined[len(prefix):].split("\n" + prefix)
+    return values if len(values) == n else None
+
+
+def _interval_columns(lines: list, pos: int, n: int, tier_xmin: float,
+                      tier_xmax: float):
+    """(labels, starts, durations) of the labeled intervals among the `n`
+    whose lines start at lines[pos], read as four columns of those lines;
+    None unless every line is in Praat's own spelling and every interval
+    passes the checks of `parse_textgrid`'s interval loop."""
+    end = pos + 4 * n  # lines[-1] is the end mark, never a tier's line
+    if not n or end >= len(lines) or (
+            lines[pos:end:4] != [f"intervals [{i}]:" for i in range(1, n + 1)]):
+        return None
+    # 'text = "label"' lines: each but the last ends in the quote that
+    # comes before the next line's key
+    quoted = "\n".join(lines[pos + 3:end:4])
+    if not (len(quoted) > 8 and quoted.startswith('text = "') and quoted.endswith('"')):
+        return None
+    labels = quoted[8:-1].split('"\ntext = "')
+    if len(labels) != n:
+        return None
+    if '""' in quoted:
+        labels = [label.replace('""', '"') for label in labels]
+    labels = list(map(str.strip, labels))
+
+    lows = _column_values("\n".join(lines[pos + 1:end:4]), "xmin = ", n)
+    highs = _column_values("\n".join(lines[pos + 2:end:4]), "xmax = ", n)
+    if lows is None or highs is None:
+        return None
+    times = np.empty(2 * n)
+    try:
+        times[::2], times[1::2] = list(map(float, lows)), list(map(float, highs))
+    except ValueError:
+        return None
+    # lower <= xmin <= xmax <= next xmin <= ... <= upper, with no NaN: a
+    # file whose intervals overlap within the slack is read by the loop
+    ordered = times.tolist()
+    total = sum(ordered)
+    if not (total == total and ordered[0] >= max(0.0, tier_xmin - _BOUND_SLACK_S)
+            and ordered[-1] <= min(tier_xmax + _BOUND_SLACK_S, _MAX_SPAN_S)
+            and ordered == sorted(ordered)):
+        return None
+    keep = list(map(bool, labels))
+    if not all(compress(map(lt, ordered[::2], ordered[1::2]), keep)):
+        return None  # a zero-length labeled interval
+    try:
+        durations = list(map(float, map(sub, map(Decimal, highs), map(Decimal, lows))))
+    except (ValueError, ArithmeticError):
+        return None
+    starts = times[::2]
+    if not all(keep):  # silence padding
+        labels = list(compress(labels, keep))
+        mask = np.array(keep)
+        starts, durations = starts[mask], np.asarray(durations)[mask]
+    return labels, starts, durations
 
 
 def parse_textgrid(text: str, utterance_id: str = ""):
@@ -377,144 +460,181 @@ def parse_textgrid(text: str, utterance_id: str = ""):
     IntervalTier, intervals in file order with start/duration in seconds.
     Empty-label intervals are dropped; point tiers are skipped with a
     warning.  Raises ParseError (with line number) on malformed input,
-    including a tier outside the file's xmin/xmax or with xmin > xmax, and
-    an interval outside its tier's xmin/xmax.
+    including a tier outside the file's xmin/xmax or with xmin > xmax, an
+    interval outside its tier's xmin/xmax, and a time more than
+    `_MAX_SPAN_MS` from 0.
+
+    The file's non-blank lines are stripped once.  An interval tier whose
+    lines are all in Praat's own spelling (`intervals [i]:` numbered from
+    1, then `xmin = `, `xmax = ` and `text = "..."`) is read and checked
+    as four columns of those lines.  Any other tier, or one that fails a
+    check, is read one interval at a time from the same line, so that the
+    error names the first bad line; both give the same rows.
     """
     raw = text.splitlines()
-    # (line number, stripped text) of each non-blank line, then an end mark
-    lines = [(n, s) for n, s in enumerate(map(str.strip, raw), start=1) if s]
-    lines.append((len(raw) or 1, None))
+    stripped = list(map(str.strip, raw))
+    # the non-blank lines, then an end mark; lines are counted only to name
+    # one in an error
+    lines = list(filter(None, stripped))
+    lines.append(None)
     pos = 0
+
+    def line_of(at: int) -> int:
+        """The line number of lines[at]."""
+        if lines[at] is None:
+            return len(raw) or 1
+        return next(islice(compress(count(1), stripped), at, None))
 
     def next_line(what: str) -> tuple[int, str]:
         nonlocal pos
-        lineno, line = lines[pos]
+        line = lines[pos]
         if line is None:
-            raise ParseError(f"unexpected end of file, expected {what}", lineno)
+            raise ParseError(f"unexpected end of file, expected {what}", line_of(pos))
         pos += 1
-        return lineno, line
+        return pos - 1, line
 
     def next_value(key: str) -> tuple[int, str]:
         """The value of the next line, which must be `key = value`; the
         key is compared with its spaces removed."""
-        lineno, line = next_line(f'"{key} = ..."')
+        at, line = next_line(f'"{key} = ..."')
         name, eq, value = line.partition("=")
         if not eq or name.rstrip().replace(" ", "") != key:
             if key in ("xmin", "xmax") and re.fullmatch(r"[-+0-9.eE]+", line):
                 raise ParseError(
                     "bare number where a key = value line was expected; "
                     "short TextGrid format is not supported (save as the "
-                    "Praat long/'ooTextFile' text format)", lineno)
-            raise ParseError(f"expected {key!r} assignment, got {line!r}", lineno)
-        return lineno, value.strip()
+                    "Praat long/'ooTextFile' text format)", line_of(at))
+            raise ParseError(f"expected {key!r} assignment, got {line!r}", line_of(at))
+        return at, value.strip()
+
+    def next_quoted(key: str) -> tuple[int, str]:
+        """The unquoted value of the next line, `key = "value"`."""
+        at, value = next_value(key)
+        if len(value) < 2 or not value.startswith('"') or not value.endswith('"'):
+            raise ParseError(f"expected quoted string, got {value!r}", line_of(at))
+        return at, value[1:-1].replace('""', '"')
 
     def next_number(key: str) -> tuple[int, float, str]:
-        lineno, value = next_value(key)
-        return lineno, _parse_number(value, lineno, key), value
+        """A time, finite and at most `_MAX_SPAN_MS` from 0."""
+        at, value = next_value(key)
+        try:
+            number = float(value)
+        except ValueError:
+            number = math.nan
+        if not abs(number) <= _MAX_SPAN_S:
+            lineno = line_of(at)
+            _parse_number(value, lineno, key)  # non-numeric or non-finite
+            raise ParseError(_span_message(key, value), lineno)
+        return at, number, value
 
-    lineno, header = next_line("TextGrid header")
+    _, header = next_line("TextGrid header")
     if header.lstrip("\ufeff") != 'File type = "ooTextFile"':
         raise ParseError(
-            f'not an ooTextFile TextGrid (header {header!r})', lineno)
-    lineno, klass = next_line("Object class")
+            f'not an ooTextFile TextGrid (header {header!r})', line_of(0))
+    at, klass = next_line("Object class")
     if klass != 'Object class = "TextGrid"':
-        raise ParseError(f"not a TextGrid object: {klass!r}", lineno)
+        raise ParseError(f"not a TextGrid object: {klass!r}", line_of(at))
 
     _, xmin, _ = next_number("xmin")
-    xmax_line, xmax, _ = next_number("xmax")
+    at, xmax, _ = next_number("xmax")
     if xmax < xmin:
-        raise ParseError(f"file xmax {xmax} < xmin {xmin}", xmax_line)
-    lineno, tiers_flag = next_line("tiers? flag")
+        raise ParseError(f"file xmax {xmax} < xmin {xmin}", line_of(at))
+    at, tiers_flag = next_line("tiers? flag")
     if not tiers_flag.startswith("tiers?"):
-        raise ParseError(f"expected tiers? flag, got {tiers_flag!r}", lineno)
+        raise ParseError(f"expected tiers? flag, got {tiers_flag!r}", line_of(at))
     if "<exists>" not in tiers_flag:
         return []
-    lineno, size = next_value("size")
-    n_tiers = _parse_count(size, lineno, "tier count")
-    if _ITEMS_RE.match(lines[pos][1] or ""):
+    at, size = next_value("size")
+    n_tiers = _parse_count(size, line_of(at), "tier count")
+    if _ITEMS_RE.match(lines[pos] or ""):
         pos += 1  # the optional "item []:" line
 
     tiers = []
     for _ in range(n_tiers):
-        lineno, line = next_line("item [...] header")
+        at, line = next_line("item [...] header")
         if not _ITEM_RE.match(line):
-            raise ParseError(f"expected tier item header, got {line!r}", lineno)
-        class_line, klass_v = next_value("class")
-        tier_class = _unquote(klass_v, class_line)
-        lineno, name_v = next_value("name")
-        tier_name = _unquote(name_v, lineno)
-        lineno, tier_xmin, _ = next_number("xmin")
+            raise ParseError(f"expected tier item header, got {line!r}", line_of(at))
+        class_at, tier_class = next_quoted("class")
+        _, tier_name = next_quoted("name")
+        at, tier_xmin, _ = next_number("xmin")
         if tier_xmin < xmin - _BOUND_SLACK_S:
             raise ParseError(f"tier xmin {tier_xmin} lies before the file's "
-                             f"xmin {xmin}", lineno)
-        lineno, tier_xmax, _ = next_number("xmax")
+                             f"xmin {xmin}", line_of(at))
+        at, tier_xmax, _ = next_number("xmax")
         if tier_xmax < tier_xmin:
-            raise ParseError(f"tier xmax {tier_xmax} < xmin {tier_xmin}", lineno)
+            raise ParseError(f"tier xmax {tier_xmax} < xmin {tier_xmin}", line_of(at))
         if tier_xmax > xmax + _BOUND_SLACK_S:
             raise ParseError(f"tier xmax {tier_xmax} lies past the file's "
-                             f"xmax {xmax}", lineno)
+                             f"xmax {xmax}", line_of(at))
 
-        lineno, line = next_line("size of tier contents")
+        at, line = next_line("size of tier contents")
         m = _SIZE_RE.match(line)
         if not m:
-            raise ParseError(f"expected intervals/points size, got {line!r}", lineno)
-        count = _parse_count(m.group(2), lineno, "size")
+            raise ParseError(f"expected intervals/points size, got {line!r}",
+                             line_of(at))
+        size = _parse_count(m.group(2), line_of(at), "size")
 
         if tier_class == "TextTier":
-            logger.warning("skipping point tier %r (%d points)", tier_name, count)
-            for _ in range(count):
-                lineno, line = next_line("point header")
+            logger.warning("skipping point tier %r (%d points)", tier_name, size)
+            for _ in range(size):
+                at, line = next_line("point header")
                 if not _ITEM_RE.match(line):
-                    raise ParseError(f"expected point header, got {line!r}", lineno)
+                    raise ParseError(f"expected point header, got {line!r}",
+                                     line_of(at))
                 next_number("number")
-                lineno, mark = next_value("mark")
-                _unquote(mark, lineno)
+                next_quoted("mark")
             continue
         if tier_class != "IntervalTier":
-            raise ParseError(f"unknown tier class {tier_class!r}", class_line)
+            raise ParseError(f"unknown tier class {tier_class!r}", line_of(class_at))
 
-        labels: list[str] = []
-        starts: list[float] = []
-        durations: list[float] = []
-        prev_end = None
-        for _ in range(count):
-            lineno, line = next_line("intervals [...] header")
-            if not _ITEM_RE.match(line):
-                raise ParseError(f"expected interval header, got {line!r}", lineno)
-            xmin_line, ixmin, ixmin_text = next_number("xmin")
-            if ixmin < 0.0:
-                raise ParseError(f"negative start time {ixmin_text}", xmin_line)
-            if ixmin < tier_xmin - _BOUND_SLACK_S:
-                raise ParseError(f"interval starting at {ixmin} lies before its "
-                                 f"tier's xmin {tier_xmin}", xmin_line)
-            ix_line, ixmax, ixmax_text = next_number("xmax")
-            if ixmax > tier_xmax + _BOUND_SLACK_S:
-                raise ParseError(f"interval ending at {ixmax} lies past its "
-                                 f"tier's xmax {tier_xmax}", ix_line)
-            lineno, text_v = next_value("text")
-            label = _unquote(text_v, lineno).strip()
-            if ixmax < ixmin:
-                raise ParseError(f"interval xmax {ixmax} < xmin {ixmin}", ix_line)
-            if prev_end is not None and ixmin < prev_end - _BOUND_SLACK_S:
-                raise ParseError(
-                    f"interval starting at {ixmin} overlaps previous "
-                    f"interval ending at {prev_end}", ix_line)
-            prev_end = ixmax
-            if not label:
-                continue  # silence padding
-            if ixmax == ixmin:
-                raise ParseError(
-                    f"zero-length interval with label {label!r}", ix_line)
-            labels.append(label)
-            starts.append(ixmin)
-            durations.append(_decimal_difference(ixmin_text, ixmax_text))
-        tiers.append((tier_name, IntervalTable.from_columns(
-            [utterance_id] * len(labels), labels, starts, durations)))
-    lineno, trailing = lines[pos]
+        columns = _interval_columns(lines, pos, size, tier_xmin, tier_xmax)
+        if columns is not None:
+            labels, starts, durations = columns
+            pos += 4 * size
+        else:
+            labels, starts, durations = [], [], []
+            prev_end = None
+            for _ in range(size):
+                at, line = next_line("intervals [...] header")
+                if not _ITEM_RE.match(line):
+                    raise ParseError(f"expected interval header, got {line!r}",
+                                     line_of(at))
+                xmin_at, ixmin, ixmin_text = next_number("xmin")
+                if ixmin < 0.0:
+                    raise ParseError(f"negative start time {ixmin_text}", line_of(xmin_at))
+                if ixmin < tier_xmin - _BOUND_SLACK_S:
+                    raise ParseError(f"interval starting at {ixmin} lies before its "
+                                     f"tier's xmin {tier_xmin}", line_of(xmin_at))
+                x_at, ixmax, ixmax_text = next_number("xmax")
+                if ixmax > tier_xmax + _BOUND_SLACK_S:
+                    raise ParseError(f"interval ending at {ixmax} lies past its "
+                                     f"tier's xmax {tier_xmax}", line_of(x_at))
+                label = next_quoted("text")[1].strip()
+                if ixmax < ixmin:
+                    raise ParseError(f"interval xmax {ixmax} < xmin {ixmin}", line_of(x_at))
+                if prev_end is not None and ixmin < prev_end - _BOUND_SLACK_S:
+                    raise ParseError(
+                        f"interval starting at {ixmin} overlaps previous "
+                        f"interval ending at {prev_end}", line_of(x_at))
+                prev_end = ixmax
+                if not label:
+                    continue  # silence padding
+                if ixmax == ixmin:
+                    raise ParseError(
+                        f"zero-length interval with label {label!r}", line_of(x_at))
+                labels.append(label)
+                starts.append(ixmin)
+                durations.append(_decimal_difference(ixmin_text, ixmax_text))
+        raw_labels: dict[str, int] = {}
+        raw_label = _code(raw_labels, labels)
+        tiers.append((tier_name, IntervalTable.from_codes(
+            (utterance_id,) if labels else (), np.zeros(len(labels), np.intp),
+            raw_labels, raw_label, starts, durations)))
+    trailing = lines[pos]
     if trailing is not None:
         raise ParseError(
             f"content after the last of {n_tiers} declared tier(s) "
-            f"(a tier or interval count too small?): {trailing!r}", lineno)
+            f"(a tier or interval count too small?): {trailing!r}", line_of(pos))
     return tiers
 
 
@@ -599,6 +719,10 @@ def _ctm_line_error(text: str) -> None:
             raise ParseError(f"non-positive duration {dur_s}", lineno)
         if start < 0.0:
             raise ParseError(f"negative start time {start_s}", lineno)
+        if start > _MAX_SPAN_S:
+            raise ParseError(_span_message("start time", start_s), lineno)
+        if dur > _MAX_SPAN_S:
+            raise ParseError(_span_message("duration", dur_s), lineno)
         per_utt.setdefault(utt, []).append((start, dur, lineno))
 
     for utt, items in per_utt.items():
@@ -637,8 +761,9 @@ def _ctm_table(text: str) -> IntervalTable | None:
     except ValueError:
         return None
     utterance, raw_label, start, duration = map(np.concatenate, zip(*parts))
-    if not (np.isfinite(start).all() and np.isfinite(duration).all()
-            and (duration > 0.0).all() and (start >= 0.0).all()):
+    # NaN fails every comparison
+    if not ((duration > 0.0).all() and (duration <= _MAX_SPAN_S).all()
+            and (start >= 0.0).all() and (start <= _MAX_SPAN_S).all()):
         return None
     step, rise = np.diff(utterance), np.diff(start)
     if ((step < 0) | ((step == 0) & (rise < 0))).any():

@@ -83,9 +83,12 @@ def build_histogram(samples: np.ndarray,
     """The non-empty bins [i*w, (i+1)*w) of a sorted cell, as (bin indexes
     i ascending, the count of each); empty arrays for an empty cell.  A
     sample x is counted in bin floor(x / w).  A bin index of
-    HISTOGRAM_BINS_MAX or more is a ValueError naming `bin_width_ms`."""
+    HISTOGRAM_BINS_MAX or more is a ValueError naming `bin_width_ms`, and
+    so is a cell that is not ascending."""
     if bin_width_ms <= 0.0:
         raise ValueError("bin width must be positive")
+    if (samples[1:] < samples[:-1]).any():
+        raise ValueError("build_histogram needs a cell in ascending order")
     bins = np.floor(samples / bin_width_ms)
     if bins.size and bins[-1] >= HISTOGRAM_BINS_MAX:
         raise ValueError(f"config key 'bin_width_ms' {bin_width_ms!r} gives over "

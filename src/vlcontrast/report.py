@@ -34,9 +34,9 @@ from .alignment import (
     _NUMBER,
     _STRING,
     ConfigError,
+    IntervalTable,
     ParseError,
     PhoneMap,
-    TokenTable,
     _check_corpus_id,
     _check_entry,
     _json_object,
@@ -423,9 +423,12 @@ def _alignment_files(source: CorpusSource) -> list[Path]:
     for raw in source.paths:
         p = Path(raw)
         if p.is_dir():
-            matched = sorted(
-                child for child in p.iterdir()
-                if child.is_file() and child.suffix.lower() in suffixes)
+            # sorted by name, which for children of one directory is the
+            # order of their paths
+            with os.scandir(p) as entries:
+                names = sorted(entry.name for entry in entries if entry.is_file())
+            matched = [child for child in map(p.joinpath, names)
+                       if child.suffix.lower() in suffixes]
             if not matched:
                 raise CorpusLoadError(
                     f"corpus {source.corpus_id!r}: no {source.format} files "
@@ -444,10 +447,20 @@ def _alignment_files(source: CorpusSource) -> list[Path]:
 
 
 def _read_alignment_text(path: Path) -> str:
-    """UTF-16 after its byte-order mark (as Praat saves), else UTF-8."""
-    with path.open("rb") as fh:
-        utf16 = fh.read(2) in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
-    return path.read_text(encoding="utf-16" if utf16 else "utf-8-sig")
+    """UTF-16 after its byte-order mark (as Praat saves), else UTF-8; the
+    file is read once.  Neither mark decodes as UTF-8, so a UTF-16 file
+    fails that decode at byte 0 and is decoded from the bytes the error
+    carries.  Those are the whole file only when it does not start with
+    the UTF-8 mark, which the decoder strips first: a UTF-8 mark followed
+    by a UTF-16 one stays a decode error."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        data = exc.object
+        if (data[:2] in (codecs.BOM_UTF16_LE, codecs.BOM_UTF16_BE)
+                and len(data) == path.stat().st_size):
+            return data.decode("utf-16")
+        raise
 
 
 # How many of a corpus's most frequent unmapped labels run_metadata.json lists.
@@ -456,12 +469,15 @@ UNMAPPED_LABELS_LISTED = 20
 
 def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
     """The corpus's vowel tokens as one TokenTable, and its counters for
-    run_metadata.json (`per_speaker` is None without a speaker rule)."""
-    entries = phone_map.entries
+    run_metadata.json (`per_speaker` is None without a speaker rule).
+
+    Each file is read once and parsed on its own, through this module's
+    `parse_ctm` or `parse_textgrid` name, so that a tracer wrapping the
+    name sees one call per file.  The tables of all files and tiers are
+    then joined into one, whose labels are counted and whose vowel
+    tokens are taken once."""
     files = _alignment_files(source)
     tables = []
-    intervals_parsed = 0
-    unmapped: Counter = Counter()
     for path in files:
         try:
             text = _read_alignment_text(path)
@@ -475,13 +491,13 @@ def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
                     text, utterance_id=path.stem)]
         except ParseError as exc:
             raise CorpusLoadError(f"{path}: {exc}") from exc
-        for intervals in tiers:
-            intervals_parsed += len(intervals)
-            unmapped.update({label: n for label, n in intervals.label_counts().items()
-                             if label not in entries})
-            tables.append(extract_vowel_tokens(intervals, phone_map))
-    tokens = TokenTable.concat(tables)
-    ranked = sorted(unmapped.items(), key=lambda item: (-item[1], item[0]))
+        tables.extend(tiers)
+    intervals = IntervalTable.concat(tables)
+    tokens = extract_vowel_tokens(intervals, phone_map)
+    entries = phone_map.entries
+    ranked = sorted(((label, n) for label, n in intervals.label_counts().items()
+                     if label not in entries),
+                    key=lambda item: (-item[1], item[0]))
     if not tokens:
         named = ", ".join(f"{label!r} ({n})" for label, n in ranked[:5])
         raise CorpusLoadError(
@@ -494,7 +510,7 @@ def _load_corpus(source: CorpusSource, phone_map: PhoneMap, speaker):
             per_speaker[speaker(utterance_id)] += n
     counts = {
         "files": len(files),
-        "intervals": intervals_parsed,
+        "intervals": len(intervals),
         "tokens": len(tokens),
         "unmapped_labels": [{"label": label, "count": n}
                             for label, n in ranked[:UNMAPPED_LABELS_LISTED]],

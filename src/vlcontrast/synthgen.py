@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import (_INTEGER, _NUMBER, _STRING, CELLS, ConfigError, TokenTable,
-                        _cell_problem, _check_corpus_id, _check_entry, _json_object,
-                        _list_of)
+from .alignment import (_INTEGER, _MAX_SPAN_MS, _NUMBER, _STRING, CELLS, ConfigError,
+                        TokenTable, _cell_problem, _check_corpus_id, _check_entry,
+                        _json_object, _list_of)
 
 __all__ = ["Xoshiro256", "CellSpec", "CorpusSpec", "SynthCorpus",
            "sample_gamma", "generate_corpus"]
@@ -56,9 +56,6 @@ _STEPS = 256
 _ATTEMPT_READS = 4
 # CTM lines joined at a time.
 _CTM_CHUNK = 1 << 15
-# Longest corpus, in ms, whose times stay exact integers in int64 and
-# float64 (2^52 units of 0.1 ms, about 14,000 years).
-_MAX_SPAN_MS = 2.0 ** 52 / 10
 
 
 def _splitmix64(seed: int) -> list[int]:

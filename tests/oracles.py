@@ -312,12 +312,23 @@ def dip_pointwise(values) -> float:
     return best / (2.0 * n)
 
 
+# Furthest an alignment time or duration may lie from 0, in seconds: 2^52
+# units of 0.1 ms, about 14,000 years.
+MAX_SPAN_S = 2.0 ** 52 / 10 / 1000
+
+
+def _span_error(what: str, text: str, lineno: int) -> ParseError:
+    return ParseError(f"{what} {text} is more than {MAX_SPAN_S:.0f} s "
+                      "(about 14,000 years) from 0", lineno)
+
+
 def ctm_line_parser(text: str) -> list[tuple[str, str, float, float]]:
     """CTM intervals read one line at a time, as (utterance id, NFC label,
     start, duration) tuples: comment (`#`) and blank lines skipped, grouped
     per utterance in order of first appearance, sorted stably by start
     within it.  Raises ParseError naming the first bad line, checking every
-    line before any overlap."""
+    line before any overlap; a start or duration past MAX_SPAN_S is one,
+    checked after the signs."""
     per_utt: dict[str, list[tuple[float, int, tuple[str, str, float, float]]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -343,6 +354,10 @@ def ctm_line_parser(text: str) -> list[tuple[str, str, float, float]]:
             raise ParseError(f"non-positive duration {dur_s}", lineno)
         if start < 0.0:
             raise ParseError(f"negative start time {start_s}", lineno)
+        if start > MAX_SPAN_S:
+            raise _span_error("start time", start_s, lineno)
+        if dur > MAX_SPAN_S:
+            raise _span_error("duration", dur_s, lineno)
         per_utt.setdefault(utt, []).append(
             (start, lineno, (utt, unicodedata.normalize("NFC", label), start, dur)))
     result = []
@@ -427,8 +442,12 @@ def _expect_kv(scanner: _TextGridScanner, key: str) -> tuple[int, str]:
 
 
 def _expect_number(scanner: _TextGridScanner, key: str) -> tuple[int, float, str]:
+    """A time: a finite number at most MAX_SPAN_S from 0."""
     lineno, value = _expect_kv(scanner, key)
-    return lineno, _parse_number(value, lineno, key), value
+    number = _parse_number(value, lineno, key)
+    if abs(number) > MAX_SPAN_S:
+        raise _span_error(key, value, lineno)
+    return lineno, number, value
 
 
 def _decimal_difference(lo_text: str, hi_text: str) -> float:
@@ -444,7 +463,8 @@ def parse_textgrid_scanner(text: str, utterance_id: str = "", reads=None):
     list gets a (kind, line, value) entry for each bound, each interval
     time and each point header line read, in reading order, so that a test
     can apply those checks to what the scanner read; an interval's start
-    is entered after its negative-start check."""
+    is entered after its negative-start check.  A time (xmin, xmax or a
+    point's number) more than MAX_SPAN_S from 0 is an error at its line."""
     reads = [] if reads is None else reads
     scanner = _TextGridScanner(text)
     lineno, header = scanner.expect("TextGrid header")

@@ -2,10 +2,13 @@
 
 import json
 import unicodedata
+from unittest import mock
 
 import pytest
+from oracles import parse_textgrid_scanner
 from tables import rows
 
+from vlcontrast import alignment
 from vlcontrast.alignment import (
     CELLS,
     IntervalTable,
@@ -60,6 +63,29 @@ def test_textgrid_hand_fixture():
     name, intervals = tiers[0]
     assert name == "phones"
     assert rows(intervals) == [("utt1", "a", 0.0, pytest.approx(0.07))]
+
+
+@pytest.mark.parametrize("spell", [lambda ms: f"{ms / 1000:.4f}",
+                                   lambda ms: f"{ms / 1000:g}"],
+                         ids=["fixed-places", "shortest"])
+def test_a_long_praat_tier_is_read_as_columns(spell):
+    # 1,200 intervals of 0.5 ms, a third of them silence
+    bounds = [spell(ms / 2) for ms in range(1201)]
+    intervals = [(lo, hi, ("a", "", "sil")[i % 3])
+                 for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    text = one_tier_textgrid(intervals)
+    read = []
+    columns = alignment._interval_columns
+
+    def spy(*args):
+        read.append(columns(*args))
+        return read[-1]
+
+    with mock.patch.object(alignment, "_interval_columns", spy):
+        (_, table), = parse_textgrid(text, "u")
+    assert read[0] is not None
+    (_, expected), = parse_textgrid_scanner(text, "u")
+    assert len(table) == 800 and rows(table) == rows(expected)
 
 
 def test_textgrid_empty_tier():
@@ -420,6 +446,20 @@ def test_interval_table_normalizes_its_labels():
         pm = PhoneMap({map_label: ("e", "long")})
         toks = extract_vowel_tokens(_one_interval(label), pm)
         assert [row[:2] for row in rows(toks)] == [("e", "long")]
+
+
+def test_interval_tables_concatenate_into_one():
+    a = IntervalTable.from_columns(["u1", "u1"], ["a", "sil"], [0.0, 0.1], [0.1, 0.2])
+    b = IntervalTable.from_columns(["u2", "u1"], ["sil", "e\u0301"], [0.0, 0.5],
+                                   [0.3, 0.4])
+    empty = IntervalTable.from_columns([], [], [], [])
+    joined = IntervalTable.concat([a, empty, b])
+    assert rows(joined) == rows(a) + rows(b)
+    # one code per distinct utterance id and label
+    assert joined.utterance_ids == ("u1", "u2") and joined.labels == ("a", "sil", "\u00e9")
+    assert joined.label_counts() == {"a": 1, "sil": 2, "\u00e9": 1}
+    assert IntervalTable.concat([a]) is a  # a lone table is not copied
+    assert rows(IntervalTable.concat([])) == []
 
 
 def test_extract_tokens_basic():

@@ -216,6 +216,15 @@ def test_histogram_bin_count_is_capped_before_it_allocates():
             build_histogram(samples, width)
 
 
+@pytest.mark.parametrize("samples", [[2e7, 130.0, 70.0], [75.0, 130.0, 71.0],
+                                     [75.0, 71.0]])
+def test_histogram_rejects_a_cell_out_of_order(samples):
+    # the bin cap reads the last sample, and a bin's count is one run of
+    # equal indexes: both hold only for an ascending cell
+    with pytest.raises(ValueError, match="ascending"):
+        build_histogram(np.array(samples), 10.0)
+
+
 def test_histogram_matches_analytic_bin_probabilities():
     # oracle: gamma bin mass from the regularized incomplete gamma function
     k, theta, width = 4.0, 20.0, 10.0

@@ -277,11 +277,20 @@ def test_compare_corpora_shifted_means_detected():
     assert res.p_value < 0.01
 
 
+def _short_and_long(vowel, short, long):
+    """One table of a vowel's short tokens, then its long ones."""
+    n, m = len(short), len(long)
+    return TokenTable(np.array([CELLS.index((vowel, "short"))] * n
+                               + [CELLS.index((vowel, "long"))] * m),
+                      np.concatenate([short, long]),
+                      tuple(f"u{i}" for i in range(n + m)), np.arange(n + m))
+
+
 def test_compare_corpora_pooled_and_errors():
-    a = TokenTable.concat([_tokens("a", "short", sample_gamma(6.0, 11.5, 60, seed=104)),
-                           _tokens("a", "long", sample_gamma(7.0, 17.5, 40, seed=105))])
-    b = TokenTable.concat([_tokens("a", "short", sample_gamma(6.0, 11.5, 50, seed=106)),
-                           _tokens("a", "long", sample_gamma(7.0, 17.5, 30, seed=107))])
+    a = _short_and_long("a", sample_gamma(6.0, 11.5, 60, seed=104),
+                        sample_gamma(7.0, 17.5, 40, seed=105))
+    b = _short_and_long("a", sample_gamma(6.0, 11.5, 50, seed=106),
+                        sample_gamma(7.0, 17.5, 30, seed=107))
     pooled = compare_corpora("a", "A", _cells(a, "A"), "B", _cells(b, "B"), "pooled")
     assert pooled.n1 <= 100 and pooled.n2 <= 80  # post filtering
 

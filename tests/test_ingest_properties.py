@@ -6,7 +6,7 @@ from decimal import Decimal
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from oracles import ctm_line_parser, parse_textgrid_scanner
 from tables import rows
 
@@ -296,27 +296,44 @@ INDENTS = ("", "    ", "\t", " \u3000")
 
 def _decimal_spelling(units: int, style: int) -> str:
     """`units` ten-thousandths of a second in one of several spellings that
-    `float` and `Decimal` both read."""
+    `float` and `Decimal` both read; the last is the shortest, as Praat
+    writes times."""
     value = Decimal(units).scaleb(-4)
     return (f"{value:.4f}", f"{value:.6f}", f"{value}", f"{units}e-4",
-            f"+{value:.4f}", f"{value:.4E}", f"{value:.4f}".rstrip("0"))[style]
+            f"+{value:.4f}", f"{value:.4E}", f"{value:.4f}".rstrip("0"),
+            f"{value:.4f}".rstrip("0").rstrip("."))[style]
+
+
+# The plain-decimal spellings: fixed to 4 or 6 places, or Praat's shortest.
+PLAIN_STYLES = (0, 1, 7)
 
 
 @st.composite
-def textgrid_lines(draw):
+def textgrid_lines(draw, praat=False):
     """The lines of a valid long-format TextGrid: interval and point tiers,
     labels with `""` in them, mixed decimal spellings, the `item []:`
-    line present or missing, any indent and blank lines."""
+    line present or missing, any indent and blank lines.  With `praat`,
+    the lines are in Praat's own spelling, which the reader takes as
+    columns: every time a plain decimal, in one spelling for the whole
+    file or one per time, and no whitespace at a line's end."""
+    styles = [draw(st.sampled_from(PLAIN_STYLES))] if praat else range(7)
+    if praat and draw(st.booleans()):
+        styles = PLAIN_STYLES
+
     def spell(units):
-        return _decimal_spelling(units, draw(st.integers(0, 6)))
+        return _decimal_spelling(units, draw(st.sampled_from(styles)))
 
     def indent():
         return draw(st.sampled_from(INDENTS))
 
     body = []
     tiers = draw(st.lists(st.sampled_from(("phones", "words", "events")), max_size=3))
+    if praat:  # a phones tier of one interval or more comes first
+        tiers = ["phones"] + tiers[:2]
     for number, name in enumerate(tiers, start=1):
         bounds = sorted(set(draw(st.lists(st.integers(0, 10**5), max_size=8))))
+        if praat and number == 1:
+            bounds = sorted(set(bounds) | {0, 10**5})
         point_tier = name == "events" and draw(st.booleans())
         body += [f"item [{number}]:",
                  'class = "%s"' % ("TextTier" if point_tier else "IntervalTier"),
@@ -336,7 +353,8 @@ def textgrid_lines(draw):
             f"size = {len(tiers)}"] + (["item []:"] if draw(st.booleans()) else [])
     lines = []
     for line in head + body:
-        lines.append(indent() + line + draw(st.sampled_from(("", " ", "\t"))))
+        lines.append(indent() + line + ("" if praat else draw(
+            st.sampled_from(("", " ", "\t")))))
         if draw(st.integers(0, 9)) == 0:
             lines.append(indent())
     if draw(st.booleans()):  # a byte-order mark, which goes before any indent
@@ -395,6 +413,22 @@ def _joined(draw, lines):
     return "".join(line + draw(st.sampled_from(TG_LINE_ENDS)) for line in lines)
 
 
+def _read_by_columns(text):
+    """The reader's outcome on `text`, and for each interval tier with
+    intervals that it reached, whether its column path read the tier."""
+    read = []
+    columns = alignment._interval_columns
+
+    def spy(lines, pos, n, *bounds):
+        found = columns(lines, pos, n, *bounds)
+        if n:
+            read.append(found is not None)
+        return found
+
+    with mock.patch.object(alignment, "_interval_columns", spy):
+        return _outcome(TG_READ, text), read
+
+
 @SETTINGS
 @given(st.data())
 def test_textgrid_reader_equals_the_scanner_on_valid_files(data):
@@ -404,13 +438,37 @@ def test_textgrid_reader_equals_the_scanner_on_valid_files(data):
     assert _outcome(TG_READ, text) == expected
 
 
+@settings(max_examples=75, deadline=None)
+@given(st.data())
+def test_textgrid_reader_equals_the_scanner_on_valid_praat_files(data):
+    text = _joined(data.draw, data.draw(textgrid_lines(praat=True)))
+    expected = _outcome(TG_ORACLE, text)
+    assert expected[0] == "ok"
+    got, read = _read_by_columns(text)
+    assert got == expected
+    # the columns read every tier: the loop reads none
+    event(f"Praat spelling: {len(read)} tier(s) with intervals")
+    assert read and all(read)
+
+
+def _mutated_text(data, praat):
+    lines = data.draw(textgrid_lines(praat))
+    for _ in range(data.draw(st.integers(1, 3))):
+        lines = _mutate(data.draw, lines)
+    return _joined(data.draw, lines)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_textgrid_reader_equals_the_scanner_on_mutated_files(data):
-    lines = data.draw(textgrid_lines())
-    for _ in range(data.draw(st.integers(1, 3))):
-        lines = _mutate(data.draw, lines)
-    text = _joined(data.draw, lines)
+    text = _mutated_text(data, praat=False)
+    assert _outcome(TG_READ, text) == _outcome(TG_ORACLE, text)
+
+
+@settings(max_examples=125, deadline=None)
+@given(st.data())
+def test_textgrid_reader_equals_the_scanner_on_mutated_praat_files(data):
+    text = _mutated_text(data, praat=True)
     assert _outcome(TG_READ, text) == _outcome(TG_ORACLE, text)
 
 

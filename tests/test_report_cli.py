@@ -644,6 +644,68 @@ def test_a_corpus_of_schwa_alone_is_a_load_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# How a time or duration past `alignment._MAX_SPAN_MS` (2^52 units of
+# 0.1 ms) is reported.
+SPAN_LIMIT = "is more than 450359962737 s (about 14,000 years) from 0"
+
+
+def _cli_load_error(tmp_path, capsys, path, fmt):
+    """stderr of an `analyze` run of corpus "c" of `path`, which must exit
+    1 with no warning and write nothing."""
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({
+        "corpora": [{"corpus_id": "c", "paths": [str(path)], "format": fmt}],
+        "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["analyze", "--config", str(config_path)]) == 1
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    # the s -> ms product overflowed: "durations must be finite", no file named
+    ("x 1 0.0 1e306 a\n", "line 61: duration 1e306"),
+    # the fit's squares overflowed, and the error blamed 'bin_width_ms'
+    ("x 1 0.0 1e300 a\ny 1 0.0 2.5e300 aa\nz 1 0.0 7e299 a\n",
+     "line 61: duration 1e300"),
+    ("x 1 1e300 0.1 a\n", "line 61: start time 1e300"),
+    ("x 1 0.0 450359962737.1 a\n", "line 61: duration 450359962737.1"),
+], ids=["overflow", "squares", "start", "just-past"])
+def test_a_ctm_time_past_the_span_limit_is_an_error_naming_file_and_line(
+        tmp_path, capsys, extra, message):
+    ctm = tmp_path / "far.ctm"
+    ctm.write_text(_ctm([("a", [60.0 + i for i in range(30)]),
+                         ("aa", [140.0 + i for i in range(30)])]) + extra,
+                   encoding="utf-8")
+    assert _cli_load_error(tmp_path, capsys, ctm, "ctm") == (
+        f"error: {ctm}: {message} {SPAN_LIMIT}\n")
+
+
+# Two intervals; the second's xmax (line 21) lies past the span limit.
+FAR_TEXTGRID = NEGATIVE_START_TEXTGRID.replace(
+    "intervals: size = 1", "intervals: size = 2").replace(
+    "xmin = -1.0", "xmin = 0.0000").replace("xmax = 0.07", "xmax = 0.0700") + """\
+        intervals [2]:
+            xmin = 0.0700
+            xmax = 500000000000.0000
+            text = "aa"
+"""
+
+
+@pytest.mark.parametrize("spelling", ["intervals [2]:", "intervals [ 2 ]:"],
+                         ids=["praat", "other"])
+def test_a_textgrid_time_past_the_span_limit_is_an_error_naming_file_and_line(
+        tmp_path, capsys, spelling):
+    # Praat's spelling is read as columns, the other line by line
+    tg_dir = tmp_path / "tg"
+    tg_dir.mkdir()
+    path = tg_dir / "far.TextGrid"
+    path.write_text(FAR_TEXTGRID.replace("intervals [2]:", spelling), encoding="utf-8")
+    assert _cli_load_error(tmp_path, capsys, tg_dir, "textgrid") == (
+        f"error: {path}: line 21: xmax 500000000000.0000 {SPAN_LIMIT}\n")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("paths", "", "config key 'paths' of corpus 'c' must list paths, none of "
      "them empty"),
@@ -1649,15 +1711,32 @@ def test_utf16_textgrids_decode_by_byte_order_mark(tmp_path):
     for name in ("utf8bom", "utf16le", "utf16be"):
         assert tables[name] == tables["utf8"]
 
-    bad_dir = tmp_path / "latin1"
-    bad_dir.mkdir()
-    (bad_dir / "bad.TextGrid").write_bytes(  # Latin-1 "é": not UTF-8
-        b'File type = "ooTextFile"\ntext = "caf\xe9"\n')
-    with pytest.raises(CorpusLoadError) as err:
-        run_analysis(AnalysisConfig(
-            corpora=(CorpusSource("wo", (str(bad_dir),), "textgrid"),),
-            output_dir=str(tmp_path / "out_bad")))
-    assert "bad.TextGrid" in str(err.value) and "decode" in str(err.value)
+    text = next(iter(files.values()))
+    bad_files = {
+        "latin1": b'File type = "ooTextFile"\ntext = "caf\xe9"\n',  # not UTF-8
+        # a UTF-8 mark, then a UTF-16 one
+        "two_marks_le": b"\xef\xbb\xbf" + encoders["utf16le"](text),
+        "two_marks_be": b"\xef\xbb\xbf" + encoders["utf16be"](text),
+    }
+    for name, data in bad_files.items():
+        bad_dir = tmp_path / name
+        bad_dir.mkdir()
+        (bad_dir / "bad.TextGrid").write_bytes(data)
+        with pytest.raises(CorpusLoadError) as err:
+            run_analysis(AnalysisConfig(
+                corpora=(CorpusSource("wo", (str(bad_dir),), "textgrid"),),
+                output_dir=str(tmp_path / f"out_{name}")))
+        assert "bad.TextGrid" in str(err.value) and "decode" in str(err.value)
+
+
+def test_a_utf16_file_is_decoded_whole_from_its_one_read(tmp_path):
+    # longer than any read buffer: the UTF-8 decode error carries every byte
+    text = "".join(f"u{i} 1 0.0 0.1 \u025b\r\n" for i in range(20_000))
+    path = tmp_path / "wide.ctm"
+    for bom, codec in ((b"\xff\xfe", "utf-16-le"), (b"\xfe\xff", "utf-16-be")):
+        path.write_bytes(bom + text.encode(codec))
+        assert report_module._read_alignment_text(path).splitlines() == (
+            text.splitlines())
 
 
 def _single_table_run(tmp_path, monkeypatch, outlier_filtering):
